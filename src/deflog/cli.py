@@ -11,6 +11,7 @@ is deterministic.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .analysis import classify, equivalent, gen_theory, pair_table
@@ -52,9 +53,15 @@ def _load(path: str, allow_generated: bool) -> Theory:
 
 
 def _split_atoms(listing: str | None) -> list[str]:
+    """Split a comma-separated atom list; commas inside parentheses separate
+    arguments, not atoms."""
     if not listing:
         return []
-    return [name for name in listing.split(",") if name]
+    return [name for name in re.split(r",(?![^(]*\))", listing) if name]
+
+
+def _atoms(listing: str | None) -> list[Atom]:
+    return [_parse_atom(name) for name in _split_atoms(listing)]
 
 
 def _prepare(theory: Theory, do_ground: bool) -> Theory:
@@ -68,7 +75,7 @@ def _prepare(theory: Theory, do_ground: bool) -> Theory:
 def _cmd_conclusions(args: argparse.Namespace) -> int:
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     mode = Mode.REDUCED if args.mode == "reduced" else Mode.FULL
-    result = conclusions(theory, mode, extra_atoms=_split_atoms(args.atoms))
+    result = conclusions(theory, mode, extra_atoms=_atoms(args.atoms))
     for line in result.lines():
         print(line)
     return EXIT_OK
@@ -126,8 +133,8 @@ def _parse_atom(text: str) -> Atom:
 def _cmd_classify(args: argparse.Namespace) -> int:
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     atom = _parse_atom(args.atom)
-    extra = _split_atoms(args.atoms)
-    if atom not in theory.atoms and str(atom) not in extra:
+    extra = _atoms(args.atoms)
+    if atom not in theory.atoms and atom not in extra:
         raise DeflogError(f"unknown atom: {atom}")
     result = conclusions(theory, Mode.FULL, extra_atoms=extra)
     positive = classify(result, Literal(atom, True))

@@ -261,9 +261,6 @@ class Theory:
         """Number of knowledge units: facts + rules + superiority pairs."""
         return len(self.facts) + len(self.rules) + len(self.superiority)
 
-    def rules_by_kind(self, kind: RuleKind) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.kind == kind)
-
 
 def rules_for(
     theory: Theory,

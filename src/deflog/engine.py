@@ -12,12 +12,24 @@ current set, and concatenating derivations yields a derivation.  This module
 computes that fixpoint; a literal is provable iff it lands in the fixpoint,
 and non-membership is a decision, not a timeout.
 
-Full mode implements the four inference conditions of the general logic,
-including the superiority relation and the restriction that defeaters may
-attack a conclusion but never support one and never counterattack.  Reduced
-mode implements the simplified conditions that become sound once facts,
-defeaters and superiority have been compiled away; it refuses input that
-still contains any of the three.
+The conditions are those of the general logic, including the superiority
+relation and the restriction that defeaters may attack a conclusion but
+never support one and never counterattack.  Reduced mode is a checked
+contract, not a second set of conditions: it refuses input that still has
+facts, defeaters or superiority pairs, and on such input the general
+conditions coincide with the simplified ones (every rule supports, no
+attack can be countered).
+
+The solver follows the counter-driven, linear-time scheme of Maher,
+"Propositional Defeasible Logic has Linear Complexity" (TPLP 1(6), 2001).
+A ground theory is compiled once into integer tables: atoms are interned, a
+literal is ``2 * atom + negated`` (so its complement is ``q ^ 1``) and rules
+get dense ids.  Per rule, countdowns of antecedents not yet proved and flags
+for a refuted antecedent track applicability; they decide the definite
+conclusions outright, and a rule becoming applicable or blocked re-queues
+exactly the defeasible conclusions about its head and the complement, so
+each condition is re-examined only when its inputs change.  One evaluator
+serves both modes.
 
 The candidate universe contains both polarities of every atom occurring in
 the theory (plus any explicitly supplied extras), so refutations of literals
@@ -26,9 +38,10 @@ whose polarity is never mentioned are still derived.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .core import (
@@ -133,29 +146,12 @@ class Derivation:
         )
 
 
-@dataclass(frozen=True)
-class _Support:
-    clause: str
-    rules: tuple[str, ...]
-    premises: tuple[TaggedLiteral, ...]
-
-
-def _sorted_literals(literals: Iterable[Literal]) -> list[Literal]:
-    return sorted(literals, key=str)
-
-
 class _Index:
-    """Static lookup structures for one theory."""
+    """Rules by head literal, as :func:`replay` consults them."""
 
-    def __init__(self, theory: Theory, extra_atoms: Iterable[Atom | str] = ()):
+    def __init__(self, theory: Theory):
         self.theory = theory
         self.facts = frozenset(theory.facts)
-        atoms = set(theory.atoms)
-        for extra in extra_atoms:
-            atoms.add(Atom(extra) if isinstance(extra, str) else extra)
-        self.atoms = frozenset(atoms)
-        self.literals = [Literal(a, pos) for a in atoms for pos in (True, False)]
-
         self.strict: dict[Literal, list[Rule]] = {}
         self.supporters: dict[Literal, list[Rule]] = {}  # strict + defeasible
         self.all_rules: dict[Literal, list[Rule]] = {}
@@ -165,24 +161,6 @@ class _Index:
                 self.strict.setdefault(rule.head, []).append(rule)
             if rule.kind != RuleKind.DEFEATER:
                 self.supporters.setdefault(rule.head, []).append(rule)
-
-        # For each rule s: the strict/defeasible rules for the complement of
-        # its head that are declared superior to s.  These are the only rules
-        # that can counterattack s; superiority between rules whose heads are
-        # not complementary never enters the conditions.
-        superiors: dict[str, set[str]] = {}
-        for sup, inf in theory.superiority:
-            superiors.setdefault(inf, set()).add(sup)
-        self.counterattackers: dict[str, tuple[Rule, ...]] = {}
-        for rule in theory.rules:
-            subs = superiors.get(rule.label)
-            if not subs:
-                self.counterattackers[rule.label] = ()
-                continue
-            candidates = self.supporters.get(rule.head.complement(), [])
-            self.counterattackers[rule.label] = tuple(
-                t for t in candidates if t.label in subs
-            )
 
     def strict_for(self, q: Literal) -> list[Rule]:
         return self.strict.get(q, [])
@@ -195,255 +173,257 @@ class _Index:
         return self.all_rules.get(q.complement(), [])
 
 
-class _Solver:
-    """Worklist fixpoint over the candidate tagged literals.
+# Tag codes of the solver; a queued or logged entry is `literal << 2 | code`.
+_PD, _MD, _PP, _MP = range(4)
+_TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
-    Rule applicability is tracked incrementally: per rule, a countdown of
-    antecedents not yet defeasibly proved, a blocked flag (some antecedent
-    defeasibly refuted), plus the analogous pair at the definite level for
-    strict rules.  Each candidate is re-examined only when a tagged literal
-    it depends on is derived, which keeps the fixpoint near-linear in the
-    dependency structure at this package's scale.
+
+def _by_literal(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Group rule ids by literal: entry q is the tuple of ids paired with q.
+
+    Tuples of ints drop out of the cyclic garbage collector's view, where
+    one list per literal would make every full collection rescan them.
+    """
+    out: list[tuple[int, ...]] = [()] * n
+    for q, group in groupby(sorted(pairs), itemgetter(0)):
+        out[q] = tuple(map(itemgetter(1), group))
+    return out
+
+
+class _Solver:
+    """Counter-driven worklist fixpoint over integer tables.
+
+    Compilation interns atoms (literal ``q`` is ``2 * atom + negated``) and
+    numbers the rules.  Per literal there are the rules with that head and
+    the rules with it in their antecedent; per rule, its head, its
+    antecedent, whether it is strict and whether it supports (is not a
+    defeater), and its counterattackers: the supporting rules for the
+    complement of its head declared superior to it, the only rules that can
+    override it.
+
+    Per rule the fixpoint keeps `fire`, the antecedents not yet in `+d`,
+    and `blocked`, set once one is in `-d`, plus `delta_fire` and
+    `delta_blocked` against `+D`/`-D`, which start so that a rule that is
+    not strict never fires and is always blocked at the definite level.
+    Per literal, `delta_open` counts its strict rules not yet blocked, plus
+    one if it is a fact.  Deriving a tagged literal updates those counters
+    through the antecedent index.  The definite conditions are the counters
+    themselves: a strict rule firing proves its head `+D`, and `delta_open`
+    reaching 0 refutes it `-D`.  A rule becoming applicable or blocked
+    queues the defeasible conclusions about its head and the complement,
+    which :meth:`holds` then checks.  Every derivation is logged in order,
+    which is all :func:`prove` needs to rebuild supports.
     """
 
-    def __init__(self, index: _Index, mode: Mode):
-        self.index = index
-        self.mode = mode
-        self.state: dict[Tag, set[Literal]] = {tag: set() for tag in Tag}
-        self.derived: dict[TaggedLiteral, _Support] = {}
+    def __init__(self, theory: Theory, extra_atoms: Iterable[Atom | str] = ()):
+        self.ids: dict[tuple[str, tuple[str, ...]], int] = {}
+        self.atoms: list[Atom] = []
+        # The theory's own Literal objects, reused for results where present.
+        self.literals: list[Literal | None] = []
+        intern = self.ids.setdefault
 
-        rules = index.theory.rules
-        self.fire = {r.label: len(r.antecedent) for r in rules}
-        self.blocked: dict[str, bool] = {r.label: False for r in rules}
-        self.delta_fire = {r.label: len(r.antecedent) for r in rules}
-        self.delta_blocked: dict[str, bool] = {r.label: False for r in rules}
+        def lit(literal: Literal) -> int:
+            atom = literal.atom
+            i = intern((atom.name, atom.args), len(self.atoms))
+            if i == len(self.atoms):
+                self.atoms.append(atom)
+                self.literals += (None, None)
+            q = 2 * i + (not literal.positive)
+            if self.literals[q] is None:
+                self.literals[q] = literal
+            return q
 
-        self.ant_index: dict[Literal, list[Rule]] = {}
-        self.ant_index_strict: dict[Literal, list[Rule]] = {}
-        for r in rules:
-            for a in r.antecedent:
-                self.ant_index.setdefault(a, []).append(r)
-                if r.kind == RuleKind.STRICT:
-                    self.ant_index_strict.setdefault(a, []).append(r)
+        facts = list(map(lit, theory.facts))
+        rules = theory.rules
+        self.labels = [r.label for r in rules]
+        self.head = [lit(r.head) for r in rules]
+        self.body = [tuple(map(lit, r.antecedent)) for r in rules]
+        for extra in extra_atoms:
+            lit(Literal(Atom(extra) if isinstance(extra, str) else extra))
+        n = 2 * len(self.atoms)
 
-        self.affected = self._dependency_map()
+        self.fact = bytearray(n)
+        for q in facts:
+            self.fact[q] = 1
+        self.strict = bytearray(r.kind == RuleKind.STRICT for r in rules)
+        self.supports = bytearray(r.kind != RuleKind.DEFEATER for r in rules)
+        self.rules_for = _by_literal(n, zip(self.head, range(len(rules))))
+        self.uses = _by_literal(n, ((a, r) for r, body in enumerate(self.body) for a in body))
 
-    def _dependency_map(self) -> dict[TaggedLiteral, tuple[TaggedLiteral, ...]]:
-        dep: dict[TaggedLiteral, set[TaggedLiteral]] = {}
+        superiors: dict[str, set[str]] = {}
+        for sup, inf in theory.superiority:
+            superiors.setdefault(inf, set()).add(sup)
+        self.counter: list[tuple[int, ...]] = [()] * len(rules)
+        for r, label in enumerate(self.labels):
+            if label in superiors:
+                self.counter[r] = tuple(t for t in self.supporters_for(self.head[r] ^ 1)
+                                        if self.labels[t] in superiors[label])
 
-        def add(trigger: TaggedLiteral, candidate: TaggedLiteral) -> None:
-            dep.setdefault(trigger, set()).add(candidate)
+        self.fire = [len(b) for b in self.body]
+        self.blocked = bytearray(len(rules))
+        self.delta_fire = [k + (not strict) for k, strict in zip(self.fire, self.strict)]
+        self.delta_blocked = bytearray(not strict for strict in self.strict)
+        self.delta_open = list(self.fact)
+        for h, strict in zip(self.head, self.strict):
+            self.delta_open[h] += strict
+        self.derived = [bytearray(n) for _ in _TAGS]
+        self.log: list[int] = []
 
-        for q in self.index.literals:
-            nq = q.complement()
-            add(TaggedLiteral(Tag.PLUS_DELTA, q), TaggedLiteral(Tag.PLUS_PARTIAL, q))
-            add(TaggedLiteral(Tag.PLUS_DELTA, q), TaggedLiteral(Tag.MINUS_PARTIAL, nq))
-            add(TaggedLiteral(Tag.MINUS_DELTA, q), TaggedLiteral(Tag.MINUS_PARTIAL, q))
-            add(TaggedLiteral(Tag.MINUS_DELTA, q), TaggedLiteral(Tag.PLUS_PARTIAL, nq))
-        for r in self.index.theory.rules:
-            h = r.head
-            nh = h.complement()
-            for a in r.antecedent:
-                if r.kind == RuleKind.STRICT:
-                    add(TaggedLiteral(Tag.PLUS_DELTA, a), TaggedLiteral(Tag.PLUS_DELTA, h))
-                    add(TaggedLiteral(Tag.MINUS_DELTA, a), TaggedLiteral(Tag.MINUS_DELTA, h))
-                if r.kind != RuleKind.DEFEATER:
-                    add(TaggedLiteral(Tag.PLUS_PARTIAL, a), TaggedLiteral(Tag.PLUS_PARTIAL, h))
-                    add(TaggedLiteral(Tag.MINUS_PARTIAL, a), TaggedLiteral(Tag.MINUS_PARTIAL, h))
-                add(TaggedLiteral(Tag.MINUS_PARTIAL, a), TaggedLiteral(Tag.PLUS_PARTIAL, nh))
-                add(TaggedLiteral(Tag.PLUS_PARTIAL, a), TaggedLiteral(Tag.MINUS_PARTIAL, nh))
-        return {k: tuple(v) for k, v in dep.items()}
+    def literal(self, q: int) -> Literal:
+        literal = self.literals[q]
+        if literal is None:
+            literal = self.literals[q] = Literal(self.atoms[q >> 1], not q & 1)
+        return literal
+
+    def strict_for(self, q: int) -> list[int]:
+        return [r for r in self.rules_for[q] if self.strict[r]]
+
+    def supporters_for(self, q: int) -> list[int]:
+        return [r for r in self.rules_for[q] if self.supports[r]]
 
     def run(self) -> None:
-        queue: deque[TaggedLiteral] = deque(
-            TaggedLiteral(tag, lit)
-            for lit in _sorted_literals(self.index.literals)
-            for tag in (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
-        )
-        while queue:
-            cand = queue.popleft()
-            if cand in self.derived:
+        derived, head, supports, uses = self.derived, self.head, self.supports, self.uses
+        fire, blocked = self.fire, self.blocked
+        delta_fire, delta_blocked, delta_open = self.delta_fire, self.delta_blocked, self.delta_open
+        holds, log = self.holds, self.log
+        # `+D`/`-D` entries are queued only once their condition holds;
+        # `+d`/`-d` entries whenever an input of theirs changes.
+        stack = [q << 2 | _MD for q, k in enumerate(delta_open) if not k]
+        stack += [q << 2 | _PD for q, fact in enumerate(self.fact) if fact]
+        stack += [h << 2 | _PD for h, k in zip(head, delta_fire) if not k]
+        push = stack.append
+        while stack:
+            x = stack.pop()
+            code, q = x & 3, x >> 2
+            done = derived[code]
+            if done[q] or (code >= _PP and not holds(code, q)):
                 continue
-            support = self._evaluate(cand)
-            if support is None:
-                continue
-            self._add(cand, support)
-            for nxt in self.affected.get(cand, ()):
-                if nxt not in self.derived:
-                    queue.append(nxt)
+            done[q] = 1
+            log.append(x)
+            if code == _PD:
+                push(q << 2 | _PP)
+                push((q ^ 1) << 2 | _MP)
+                for r in uses[q]:
+                    delta_fire[r] -= 1
+                    if not delta_fire[r]:
+                        push(head[r] << 2 | _PD)
+            elif code == _MD:
+                push(q << 2 | _MP)
+                push((q ^ 1) << 2 | _PP)
+                for r in uses[q]:
+                    if not delta_blocked[r]:
+                        delta_blocked[r] = 1
+                        h = head[r]
+                        delta_open[h] -= 1
+                        if not delta_open[h]:
+                            push(h << 2 | _MD)
+            elif code == _PP:
+                for r in uses[q]:
+                    fire[r] -= 1
+                    if not fire[r]:
+                        h = head[r]
+                        if supports[r]:
+                            push(h << 2 | _PP)
+                        push((h ^ 1) << 2 | _MP)
+            else:
+                for r in uses[q]:
+                    if not blocked[r]:
+                        blocked[r] = 1
+                        h = head[r]
+                        if supports[r]:
+                            push(h << 2 | _MP)
+                        push((h ^ 1) << 2 | _PP)
 
-    def _add(self, tagged: TaggedLiteral, support: _Support) -> None:
-        self.derived[tagged] = support
-        self.state[tagged.tag].add(tagged.literal)
-        lit = tagged.literal
-        if tagged.tag == Tag.PLUS_PARTIAL:
-            for r in self.ant_index.get(lit, ()):
-                self.fire[r.label] -= 1
-        elif tagged.tag == Tag.MINUS_PARTIAL:
-            for r in self.ant_index.get(lit, ()):
-                self.blocked[r.label] = True
-        elif tagged.tag == Tag.PLUS_DELTA:
-            for r in self.ant_index_strict.get(lit, ()):
-                self.delta_fire[r.label] -= 1
-        else:
-            for r in self.ant_index_strict.get(lit, ()):
-                self.delta_blocked[r.label] = True
-
-    # -- condition evaluation -------------------------------------------
-
-    def _evaluate(self, cand: TaggedLiteral) -> _Support | None:
-        q = cand.literal
-        if cand.tag == Tag.PLUS_DELTA:
-            return self._plus_delta(q)
-        if cand.tag == Tag.MINUS_DELTA:
-            return self._minus_delta(q)
-        if self.mode == Mode.FULL:
-            if cand.tag == Tag.PLUS_PARTIAL:
-                return self._plus_partial(q)
-            return self._minus_partial(q)
-        if cand.tag == Tag.PLUS_PARTIAL:
-            return self._plus_partial_reduced(q)
-        return self._minus_partial_reduced(q)
-
-    def _plus_delta(self, q: Literal) -> _Support | None:
-        if q in self.index.facts:
-            return _Support("fact", (), ())
-        for r in self.index.strict_for(q):
-            if self.delta_fire[r.label] == 0:
-                premises = tuple(
-                    TaggedLiteral(Tag.PLUS_DELTA, a)
-                    for a in _sorted_literals(r.antecedent)
-                )
-                return _Support("strict rule fires", (r.label,), premises)
-        return None
-
-    def _minus_delta(self, q: Literal) -> _Support | None:
-        if q in self.index.facts:
-            return None
-        labels: list[str] = []
-        premises: list[TaggedLiteral] = []
-        for r in self.index.strict_for(q):
-            if not self.delta_blocked[r.label]:
-                return None
-            labels.append(r.label)
-            premises.append(self._delta_block_witness(r))
-        return _Support("not a fact, every strict rule blocked",
-                        tuple(labels), tuple(premises))
-
-    def _delta_block_witness(self, r: Rule) -> TaggedLiteral:
-        for a in _sorted_literals(r.antecedent):
-            if a in self.state[Tag.MINUS_DELTA]:
-                return TaggedLiteral(Tag.MINUS_DELTA, a)
-        raise AssertionError(f"rule {r.label} marked blocked without witness")
-
-    def _block_witness(self, r: Rule) -> TaggedLiteral:
-        for a in _sorted_literals(r.antecedent):
-            if a in self.state[Tag.MINUS_PARTIAL]:
-                return TaggedLiteral(Tag.MINUS_PARTIAL, a)
-        raise AssertionError(f"rule {r.label} marked blocked without witness")
-
-    def _applicable_premises(self, r: Rule) -> tuple[TaggedLiteral, ...]:
-        return tuple(
-            TaggedLiteral(Tag.PLUS_PARTIAL, a) for a in _sorted_literals(r.antecedent)
-        )
-
-    def _plus_partial(self, q: Literal) -> _Support | None:
-        if q in self.state[Tag.PLUS_DELTA]:
-            return _Support("already definite", (), (TaggedLiteral(Tag.PLUS_DELTA, q),))
-        supporter = next(
-            (r for r in self.index.supporters_for(q) if self.fire[r.label] == 0), None
-        )
-        if supporter is None:
-            return None
-        nq = q.complement()
-        if nq not in self.state[Tag.MINUS_DELTA]:
-            return None
-        labels = [supporter.label]
-        premises = list(self._applicable_premises(supporter))
-        premises.append(TaggedLiteral(Tag.MINUS_DELTA, nq))
-        for s in self.index.attackers_of(q):
-            if self.blocked[s.label]:
-                labels.append(s.label)
-                premises.append(self._block_witness(s))
-                continue
-            counter = next(
-                (t for t in self.index.counterattackers[s.label] if self.fire[t.label] == 0),
-                None,
+    def holds(self, code: int, q: int) -> bool:
+        """The condition of `+d q` or `-d q` against the conclusions derived
+        so far; `+D` and `-D` are decided by the counters alone."""
+        rules = self.rules_for[q]
+        fire, blocked, derived, supports = self.fire, self.blocked, self.derived, self.supports
+        nq = q ^ 1
+        if code == _PP:
+            if derived[_PD][q]:
+                return True
+            if not derived[_MD][nq] or all(fire[r] or not supports[r] for r in rules):
+                return False
+            return all(
+                blocked[s] or not all(fire[t] for t in self.counter[s])
+                for s in self.rules_for[nq]
             )
-            if counter is None:
-                return None
-            labels.append(counter.label)
-            premises.extend(self._applicable_premises(counter))
-        return _Support("supported, complement not definite, every attack "
-                        "blocked or counterattacked by a superior rule",
-                        tuple(dict.fromkeys(labels)),
-                        tuple(dict.fromkeys(premises)))
-
-    def _minus_partial(self, q: Literal) -> _Support | None:
-        if q not in self.state[Tag.MINUS_DELTA]:
-            return None
-        base = (TaggedLiteral(Tag.MINUS_DELTA, q),)
-        supporters = self.index.supporters_for(q)
-        if all(self.blocked[r.label] for r in supporters):
-            premises = base + tuple(self._block_witness(r) for r in supporters)
-            return _Support("every supporting rule blocked",
-                            tuple(r.label for r in supporters),
-                            tuple(dict.fromkeys(premises)))
-        nq = q.complement()
-        if nq in self.state[Tag.PLUS_DELTA]:
-            return _Support("complement definitely provable", (),
-                            base + (TaggedLiteral(Tag.PLUS_DELTA, nq),))
-        for s in self.index.attackers_of(q):
-            if self.fire[s.label] != 0:
-                continue
-            counters = self.index.counterattackers[s.label]
-            if all(self.blocked[t.label] for t in counters):
-                labels = [s.label] + [t.label for t in counters]
-                premises = (base + self._applicable_premises(s)
-                            + tuple(self._block_witness(t) for t in counters))
-                return _Support("applicable attacker no superior rule overrides",
-                                tuple(labels), tuple(dict.fromkeys(premises)))
-        return None
-
-    def _plus_partial_reduced(self, q: Literal) -> _Support | None:
-        if q in self.state[Tag.PLUS_DELTA]:
-            return _Support("already definite", (), (TaggedLiteral(Tag.PLUS_DELTA, q),))
-        supporter = next(
-            (r for r in self.index.all_rules.get(q, []) if self.fire[r.label] == 0), None
+        if not derived[_MD][q]:
+            return False
+        if all(blocked[r] or not supports[r] for r in rules) or derived[_PD][nq]:
+            return True
+        return any(
+            not fire[s] and all(blocked[t] for t in self.counter[s])
+            for s in self.rules_for[nq]
         )
-        if supporter is None:
-            return None
-        nq = q.complement()
-        if nq not in self.state[Tag.MINUS_DELTA]:
-            return None
-        attackers = self.index.attackers_of(q)
-        if not all(self.blocked[s.label] for s in attackers):
-            return None
-        premises = (self._applicable_premises(supporter)
-                    + (TaggedLiteral(Tag.MINUS_DELTA, nq),)
-                    + tuple(self._block_witness(s) for s in attackers))
-        return _Support("supported, complement not definite, every attack blocked",
-                        tuple(dict.fromkeys([supporter.label] + [s.label for s in attackers])),
-                        tuple(dict.fromkeys(premises)))
 
-    def _minus_partial_reduced(self, q: Literal) -> _Support | None:
-        if q not in self.state[Tag.MINUS_DELTA]:
-            return None
-        base = (TaggedLiteral(Tag.MINUS_DELTA, q),)
-        rules = self.index.all_rules.get(q, [])
-        if all(self.blocked[r.label] for r in rules):
-            return _Support("every supporting rule blocked",
-                            tuple(r.label for r in rules),
-                            tuple(dict.fromkeys(base + tuple(self._block_witness(r) for r in rules))))
-        nq = q.complement()
-        if nq in self.state[Tag.PLUS_DELTA]:
-            return _Support("complement definitely provable", (),
-                            base + (TaggedLiteral(Tag.PLUS_DELTA, nq),))
-        for s in self.index.attackers_of(q):
-            if self.fire[s.label] == 0:
-                return _Support("applicable attacker", (s.label,),
-                                tuple(dict.fromkeys(base + self._applicable_premises(s))))
-        return None
+    def support(self, x: int, seq: dict[int, int]) -> tuple[str, list[int], list[int]]:
+        """Why logged entry `x` holds, from entries logged before it only:
+        the clause, the rules consulted and the premise entries."""
+        before = seq[x]
+        code, q = x & 3, x >> 2
+        nq = q ^ 1
+
+        def earlier(entry: int) -> bool:
+            return seq.get(entry, before) < before
+
+        def applicable(r: int, code: int) -> list[int] | None:
+            premises = [a << 2 | code for a in self.body[r]]
+            return premises if all(map(earlier, premises)) else None
+
+        def blocker(r: int, code: int) -> int | None:
+            return next(filter(earlier, [a << 2 | code for a in self.body[r]]), None)
+
+        def first_applicable(rules: Iterable[int], code: int) -> tuple[int, list[int]]:
+            for r in rules:
+                premises = applicable(r, code)
+                if premises is not None:
+                    return r, premises
+            raise AssertionError(f"no applicable rule for logged entry {x}")
+
+        if code == _PD:
+            if self.fact[q]:
+                return "fact", [], []
+            r, premises = first_applicable(self.strict_for(q), _PD)
+            return "strict rule fires", [r], premises
+        if code == _MD:
+            rules = self.strict_for(q)
+            return ("not a fact, every strict rule blocked",
+                    rules, [blocker(r, _MD) for r in rules])
+        if code == _PP:
+            if earlier(q << 2 | _PD):
+                return "already definite", [], [q << 2 | _PD]
+            r, premises = first_applicable(self.supporters_for(q), _PP)
+            rules = [r]
+            premises.append(nq << 2 | _MD)
+            for s in self.rules_for[nq]:
+                w = blocker(s, _MP)
+                if w is not None:
+                    rules.append(s)
+                    premises.append(w)
+                else:
+                    t, applied = first_applicable(self.counter[s], _PP)
+                    rules.append(t)
+                    premises.extend(applied)
+            return ("supported, complement not definite, every attack "
+                    "blocked or counterattacked by a superior rule", rules, premises)
+        base = [q << 2 | _MD]
+        supporters = self.supporters_for(q)
+        witnesses = [blocker(r, _MP) for r in supporters]
+        if None not in witnesses:
+            return "every supporting rule blocked", supporters, base + witnesses
+        if earlier(nq << 2 | _PD):
+            return "complement definitely provable", [], base + [nq << 2 | _PD]
+        for s in self.rules_for[nq]:
+            applied = applicable(s, _PP)
+            if applied is None:
+                continue
+            counters = [blocker(t, _MP) for t in self.counter[s]]
+            if None not in counters:
+                return ("applicable attacker no superior rule overrides",
+                        [s, *self.counter[s]], base + applied + counters)
+        raise AssertionError(f"no support for logged entry {x}")
 
 
 def _check_reduced_preconditions(theory: Theory) -> None:
@@ -461,14 +441,11 @@ def _check_reduced_preconditions(theory: Theory) -> None:
         )
 
 
-def _solve(theory: Theory, mode: Mode, extra_atoms: Iterable[Atom | str]) -> _Solver:
+def _check_preconditions(theory: Theory, mode: Mode) -> None:
     if not theory.is_ground:
         raise PreconditionError("theory is not ground; expand schemas first")
     if mode == Mode.REDUCED:
         _check_reduced_preconditions(theory)
-    solver = _Solver(_Index(theory, extra_atoms), mode)
-    solver.run()
-    return solver
 
 
 def conclusions(
@@ -486,13 +463,11 @@ def conclusions(
     facts, defeaters or superiority pairs.  The structural relations between
     the four sets are verified on every result before it is returned.
     """
-    solver = _solve(theory, mode, extra_atoms)
-    result = ConclusionSet(
-        frozenset(solver.state[Tag.PLUS_DELTA]),
-        frozenset(solver.state[Tag.MINUS_DELTA]),
-        frozenset(solver.state[Tag.PLUS_PARTIAL]),
-        frozenset(solver.state[Tag.MINUS_PARTIAL]),
-    )
+    _check_preconditions(theory, mode)
+    solver = _Solver(theory, extra_atoms)
+    solver.run()
+    literals = list(map(solver.literal, range(len(solver.fact))))
+    result = ConclusionSet(*(frozenset(compress(literals, done)) for done in solver.derived))
     result.validate()
     return result
 
@@ -507,27 +482,33 @@ def prove(
     The returned derivation replays: every line's condition holds with
     respect to the strictly earlier lines only.
     """
-    if goal.literal.atom not in theory.atoms:
-        raise PreconditionError(f"unknown atom: {goal.literal.atom}")
-    solver = _solve(theory, mode, ())
-    if goal not in solver.derived:
+    solver = _Solver(theory)
+    atom = goal.literal.atom
+    if (atom.name, atom.args) not in solver.ids:
+        raise PreconditionError(f"unknown atom: {atom}")
+    _check_preconditions(theory, mode)
+    solver.run()
+    q = 2 * solver.ids[atom.name, atom.args] + (not goal.literal.positive)
+    target = q << 2 | _TAGS.index(goal.tag)
+    seq = {x: i for i, x in enumerate(solver.log)}
+    if target not in seq:
         return None
-    order = {tagged: i for i, tagged in enumerate(solver.derived)}
-    needed: set[TaggedLiteral] = set()
-    stack = [goal]
+    supports: dict[int, tuple[str, list[int], list[int]]] = {}
+    stack = [target]
     while stack:
-        current = stack.pop()
-        if current in needed:
-            continue
-        needed.add(current)
-        stack.extend(solver.derived[current].premises)
-    lines = tuple(
-        DerivationLine(tagged, solver.derived[tagged].clause,
-                       solver.derived[tagged].rules,
-                       solver.derived[tagged].premises)
-        for tagged in sorted(needed, key=order.__getitem__)
-    )
-    return Derivation(lines)
+        x = stack.pop()
+        if x not in supports:
+            supports[x] = solver.support(x, seq)
+            stack.extend(supports[x][2])
+
+    order = sorted(supports, key=seq.__getitem__)
+    tagged = {x: TaggedLiteral(_TAGS[x & 3], solver.literal(x >> 2)) for x in order}
+    return Derivation(tuple(
+        DerivationLine(tagged[x], supports[x][0],
+                       tuple(dict.fromkeys(solver.labels[r] for r in supports[x][1])),
+                       tuple(map(tagged.__getitem__, dict.fromkeys(supports[x][2]))))
+        for x in order
+    ))
 
 
 def replay(theory: Theory, derivation: Derivation, mode: Mode = Mode.FULL) -> bool:

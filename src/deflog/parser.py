@@ -26,7 +26,7 @@ with ``allow_generated=True``, which extends names with ``$``-segments
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .core import (
     Atom,
@@ -54,237 +54,201 @@ class ParseError(DeflogError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME NEG COMMA COLON DOT GT ARROW LPAREN RPAREN EOF
-    value: str
-    line: int
-    col: int
+# One token per match: leading whitespace and comments, then the token.
+# Every position matches something, so the tokens are contiguous.  ERR is a
+# character no token starts with: an error, except that `$` starts a
+# generated name when those are allowed.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]|%[^\n]*)*
+    (?:(?P<ARROW>[-=~]>)|(?P<NEG>~)|(?P<COMMA>,)|(?P<COLON>:)|(?P<DOT>\.)|(?P<GT>>)
+      |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)
+      |(?P<EOF>\Z)|(?P<ERR>.))
+""", re.VERBOSE | re.DOTALL)
+_GROUP_STOPS = {"(": re.compile(r"[()\n]"), "[": re.compile(r"[\[\]\n]")}
+_ERRORS = {
+    "-": "stray '-' (expected '->')",
+    "=": "stray '=' (expected '=>')",
+    "$": "'$' is reserved for generated symbols",
+}
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARS = _NAME_START | set("0123456789_")
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-class _Lexer:
-    def __init__(self, text: str, allow_generated: bool):
-        self.text = text
-        self.allow_generated = allow_generated
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _tokens(text: str, allow_generated: bool) -> tuple[list[str], list[str], list[int]]:
+    """Lex the whole source: token kinds, values and start offsets, ending
+    with EOF.  Raises on the first character no token can start with."""
+    kinds: list[str] = []
+    values: list[str] = []
+    starts: list[int] = []
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        pos = m.end()
+        if kind == "ERR":
+            if not (allow_generated and text[start] == "$"):
+                raise _error_at(text, start, _ERRORS.get(
+                    text[start], f"unexpected character {text[start]!r}"))
+            kind, pos = "NAME", start
+        if kind == "NAME" and allow_generated:
+            pos = _generated_suffix_end(text, pos)
+        kinds.append(kind)
+        values.append(text[start:pos])
+        starts.append(start)
+        if kind == "EOF":
+            return kinds, values, starts
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+def _generated_suffix_end(text: str, pos: int) -> int:
+    """End of the `$`-segments and bracketed instance suffixes at `pos`: a
+    segment is `$`, lowercase letters, an optional sign and an optional
+    parenthesised group."""
+    while text.startswith(("$", "["), pos):
+        if text[pos] == "$":
+            pos += 1
+            while pos < len(text) and text[pos].islower():
+                pos += 1
+            if text.startswith(("+", "-"), pos):
+                pos += 1
+            if not text.startswith("(", pos):
+                continue
+        pos = _group_end(text, pos)
+    return pos
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
 
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "EOF":
-                return out
-
-    def _next(self) -> _Token:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "%":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            else:
-                break
-        line, col = self.line, self.col
-        ch = self._peek()
-        if ch == "":
-            return _Token("EOF", "", line, col)
-        if ch == "~":
-            if self._peek(1) == ">":
-                self._advance(2)
-                return _Token("ARROW", "~>", line, col)
-            self._advance()
-            return _Token("NEG", "~", line, col)
-        if ch == "-":
-            if self._peek(1) == ">":
-                self._advance(2)
-                return _Token("ARROW", "->", line, col)
-            raise self.error("stray '-' (expected '->')")
-        if ch == "=":
-            if self._peek(1) == ">":
-                self._advance(2)
-                return _Token("ARROW", "=>", line, col)
-            raise self.error("stray '=' (expected '=>')")
-        simple = {",": "COMMA", ":": "COLON", ".": "DOT", ">": "GT",
-                  "(": "LPAREN", ")": "RPAREN"}
-        if ch in simple:
-            self._advance()
-            return _Token(simple[ch], ch, line, col)
-        if ch in _NAME_START or ch == "$":
-            return _Token("NAME", self._scan_name(), line, col)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def _scan_name(self) -> str:
-        start = self.pos
-        if self._peek() in _NAME_START:
-            self._advance()
-            while self._peek() in _NAME_CHARS:
-                self._advance()
-        while self._peek() in ("$", "["):
-            if self._peek() == "$":
-                if not self.allow_generated:
-                    raise self.error("'$' is reserved for generated symbols")
-                self._advance()
-                while self._peek().islower():
-                    self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                if self._peek() == "(":
-                    self._scan_group("(", ")")
-            else:
-                if not self.allow_generated:
-                    raise self.error("unexpected character '['")
-                self._scan_group("[", "]")
-        return self.text[start:self.pos]
-
-    def _scan_group(self, open_ch: str, close_ch: str) -> None:
-        depth = 0
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                raise self.error(f"unterminated {open_ch!r} group")
-            if ch == open_ch:
-                depth += 1
-            elif ch == close_ch:
-                depth -= 1
-            self._advance()
-            if depth == 0:
-                return
+def _group_end(text: str, pos: int) -> int:
+    """End of the balanced group opening at `pos`; groups stay on one line."""
+    open_ch = text[pos]
+    stops = _GROUP_STOPS[open_ch]
+    depth = 0
+    while True:
+        m = stops.search(text, pos)
+        if m is None or m.group() == "\n":
+            raise _error_at(text, m.start() if m else len(text),
+                            f"unterminated {open_ch!r} group")
+        depth += 1 if m.group() == open_ch else -1
+        pos = m.end()
+        if depth == 0:
+            return pos
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, allow_generated: bool):
+        self.text = text
+        self.kinds, self.values, self.starts = _tokens(text, allow_generated)
         self.pos = 0
         self.facts: list[Literal] = []
         self.rules: list[Rule] = []
-        self.labels: dict[str, _Token] = {}
-        self.superiority: list[tuple[str, str, _Token]] = []
+        self.labels: set[str] = set()
+        self.superiority: list[tuple[str, str, int]] = []
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _error(self, message: str, token: int) -> ParseError:
+        return _error_at(self.text, self.starts[token], message)
 
-    def _take(self, kind: str, what: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        self.pos += 1
-        return tok
+    def _peek(self) -> str:
+        return self.kinds[self.pos]
+
+    def _take(self, kind: str, what: str) -> int:
+        """Consume a token of `kind` and return its index."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self._error(f"expected {what}", i)
+        self.pos = i + 1
+        return i
 
     def parse(self) -> Theory:
-        while self._peek().kind != "EOF":
+        while self._peek() != "EOF":
             self._statement()
-        for sup, inf, tok in self.superiority:
+        for sup, inf, token in self.superiority:
             for label in (sup, inf):
                 if label not in self.labels:
-                    raise ParseError(f"unknown label {label!r}", tok.line, tok.col)
+                    raise self._error(f"unknown label {label!r}", token)
         pairs = frozenset((sup, inf) for sup, inf, _ in self.superiority)
         return Theory(tuple(self.facts), tuple(self.rules), pairs)
 
     def _statement(self) -> None:
-        tok = self._peek()
-        if tok.kind == "NEG":
+        kind = self._peek()
+        if kind == "NEG":
             self._fact()
             return
-        if tok.kind != "NAME":
-            raise ParseError("expected a fact, rule or superiority statement",
-                             tok.line, tok.col)
-        after = self.tokens[self.pos + 1]
-        if after.kind == "COLON":
+        if kind != "NAME":
+            raise self._error("expected a fact, rule or superiority statement", self.pos)
+        after = self.kinds[self.pos + 1]
+        if after == "COLON":
             self._rule()
-        elif after.kind == "GT":
+        elif after == "GT":
             self._superiority()
         else:
             self._fact()
 
     def _fact(self) -> None:
-        tok = self._peek()
+        token = self.pos
         literal = self._literal()
         if not literal.is_ground:
-            raise ParseError("variables are not allowed in facts", tok.line, tok.col)
+            raise self._error("variables are not allowed in facts", token)
         self._take("DOT", "'.'")
         self.facts.append(literal)
 
     def _rule(self) -> None:
-        label_tok = self._take("NAME", "a rule label")
-        label = label_tok.value
+        label_token = self._take("NAME", "a rule label")
+        label = self.values[label_token]
         if _is_variable(label):
-            raise ParseError("labels must start with a lowercase letter",
-                             label_tok.line, label_tok.col)
+            raise self._error("labels must start with a lowercase letter", label_token)
         if label in self.labels:
-            raise ParseError(f"duplicate label {label!r}",
-                             label_tok.line, label_tok.col)
+            raise self._error(f"duplicate label {label!r}", label_token)
         self._take("COLON", "':'")
         antecedent: list[Literal] = []
-        if self._peek().kind != "ARROW":
+        if self._peek() != "ARROW":
             antecedent.append(self._literal())
-            while self._peek().kind == "COMMA":
+            while self._peek() == "COMMA":
                 self.pos += 1
                 antecedent.append(self._literal())
-        arrow = self._take("ARROW", "an arrow")
+        arrow = self.values[self._take("ARROW", "an arrow")]
         head = self._literal()
         self._take("DOT", "'.'")
-        self.labels[label] = label_tok
-        self.rules.append(Rule(label, frozenset(antecedent), _ARROWS[arrow.value], head))
+        self.labels.add(label)
+        self.rules.append(Rule(label, frozenset(antecedent), _ARROWS[arrow], head))
 
     def _superiority(self) -> None:
-        sup_tok = self._take("NAME", "a rule label")
+        sup_token = self._take("NAME", "a rule label")
         self._take("GT", "'>'")
-        inf_tok = self._take("NAME", "a rule label")
+        inf_token = self._take("NAME", "a rule label")
         self._take("DOT", "'.'")
-        self.superiority.append((sup_tok.value, inf_tok.value, sup_tok))
+        self.superiority.append((self.values[sup_token], self.values[inf_token], sup_token))
 
     def _literal(self) -> Literal:
         positive = True
-        if self._peek().kind == "NEG":
+        if self._peek() == "NEG":
             self.pos += 1
             positive = False
         return Literal(self._atom(), positive)
 
     def _atom(self) -> Atom:
-        name_tok = self._take("NAME", "an atom")
-        name = name_tok.value
+        name_token = self._take("NAME", "an atom")
+        name = self.values[name_token]
         if _is_variable(name):
-            raise ParseError("atom names must start with a lowercase letter",
-                             name_tok.line, name_tok.col)
+            raise self._error("atom names must start with a lowercase letter", name_token)
         args: list[str] = []
-        if self._peek().kind == "LPAREN":
+        if self._peek() == "LPAREN":
             self.pos += 1
             args.append(self._arg())
-            while self._peek().kind == "COMMA":
+            while self._peek() == "COMMA":
                 self.pos += 1
                 args.append(self._arg())
             self._take("RPAREN", "')'")
         return Atom(name, tuple(args))
 
     def _arg(self) -> str:
-        tok = self._take("NAME", "an argument")
-        if "$" in tok.value or "[" in tok.value:
-            raise ParseError("arguments must be plain identifiers", tok.line, tok.col)
-        return tok.value
+        token = self._take("NAME", "an argument")
+        value = self.values[token]
+        if "$" in value or "[" in value:
+            raise self._error("arguments must be plain identifiers", token)
+        return value
 
 
 def parse(text: str, *, allow_generated: bool = False) -> Theory:
@@ -294,8 +258,7 @@ def parse(text: str, *, allow_generated: bool = False) -> Theory:
     duplicate labels, superiority statements that reference unknown labels,
     and (unless `allow_generated` is set) any use of ``$``.
     """
-    tokens = _Lexer(text, allow_generated).tokens()
-    return _Parser(tokens).parse()
+    return _Parser(text, allow_generated).parse()
 
 
 def print_theory(theory: Theory) -> str:

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from deflog import Theory, ground, parse
+from deflog import Theory, ground, parse, pipeline
+from deflog.analysis import gen_theory
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,3 +39,44 @@ def example3() -> Theory:
 DD_SOURCE = "r1: => p. r2: => ~p. r1 > r2. r2 > r1."
 DE_SOURCE = "r1: p => p. r2: => ~p. r1 > r2. r2 > r1."
 BE_SOURCE = "r1: p => p. r2: => ~p. r3: ~p -> ~p. r1 > r2. r2 > r1. r1 > r3."
+
+
+# --- generated-theory pools shared by the acceptance and oracle suites ------
+
+@pytest.fixture(scope="session")
+def general_pool():
+    return [
+        gen_theory(seed, num_atoms=6, num_rules=10, num_facts=2,
+                   defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.08)
+        for seed in range(500)
+    ]
+
+
+@pytest.fixture(scope="session")
+def normalized_pool():
+    return [
+        gen_theory(seed, num_atoms=5, num_rules=8,
+                   defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.2,
+                   force_well_formed=True, force_normalized=True)
+        for seed in range(500)
+    ]
+
+
+@pytest.fixture(scope="session")
+def well_formed_pool():
+    return [
+        gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2,
+                   defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.2,
+                   force_well_formed=True)
+        for seed in range(500)
+    ]
+
+
+@pytest.fixture(scope="session")
+def pipeline_pool(well_formed_pool):
+    # Each output comes with the input's language: an atom occurring only in
+    # defeater heads disappears from the rewritten theory, but its
+    # refutations remain part of the conclusions being preserved, so the
+    # output's conclusions are computed over these atoms as well.
+    return [(t, pipeline(t)[0], {str(a) for a in t.sigma.atoms})
+            for t in well_formed_pool]

@@ -31,7 +31,6 @@ from deflog import (
     elim_sup,
     normal,
     parse,
-    pipeline,
     theory_union,
 )
 from deflog.analysis import gen_theory
@@ -92,50 +91,12 @@ def fail_with_witness(theory: Theory, name: str, message: str):
     pytest.fail(f"{message} (witness: {path})")
 
 
-# --- generated-theory pools -------------------------------------------------
+# --- pipeline outputs (the generated pools live in conftest) ---------------
 
 @pytest.fixture(scope="module")
-def general_pool():
-    return [
-        gen_theory(seed, num_atoms=6, num_rules=10, num_facts=2,
-                   defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.08)
-        for seed in range(500)
-    ]
-
-
-@pytest.fixture(scope="module")
-def normalized_pool():
-    return [
-        gen_theory(seed, num_atoms=5, num_rules=8,
-                   defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.2,
-                   force_well_formed=True, force_normalized=True)
-        for seed in range(500)
-    ]
-
-
-@pytest.fixture(scope="module")
-def well_formed_pool():
-    return [
-        gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2,
-                   defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.2,
-                   force_well_formed=True)
-        for seed in range(500)
-    ]
-
-
-@pytest.fixture(scope="module")
-def pipeline_results(well_formed_pool):
-    # Conclusions of each output are computed over the input's language as
-    # well as its own: an atom occurring only in defeater heads disappears
-    # from the rewritten theory, but its refutations remain part of the
-    # conclusions being preserved.
-    out = []
-    for seed, t in enumerate(well_formed_pool):
-        result, _ = pipeline(t)
-        sigma = {str(a) for a in t.sigma.atoms}
-        out.append((seed, t, result, sigma,
-                    checked(result, Mode.FULL, extra_atoms=sigma)))
-    return out
+def pipeline_results(pipeline_pool):
+    return [(seed, t, result, sigma, checked(result, Mode.FULL, extra_atoms=sigma))
+            for seed, (t, result, sigma) in enumerate(pipeline_pool)]
 
 
 # --- criteria ----------------------------------------------------------------

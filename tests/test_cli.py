@@ -28,6 +28,22 @@ class TestConclusions:
         assert code == 0
         assert out.splitlines() == ["-D p", "-D ~p", "-d p", "-d ~p"]
 
+    def test_declared_atom_with_arguments(self, capsys, tmp_path):
+        f = tmp_path / "schema.dfl"
+        f.write_text("f(c). r1: f(X) => g(X).\n")
+        code, out, _ = run(capsys, "conclusions", str(f), "--ground", "--atoms", "g(c)")
+        assert code == 0
+        assert "+d g(c)" in out.splitlines()
+        assert "-d g(c)" not in out.splitlines()
+
+    def test_declared_atoms_split_outside_parentheses(self, capsys, tmp_path):
+        empty = tmp_path / "empty.dfl"
+        empty.write_text("")
+        code, out, _ = run(capsys, "conclusions", str(empty), "--atoms", "h(c,d),p")
+        assert code == 0
+        assert out.splitlines() == ["-D h(c,d)", "-D p", "-D ~h(c,d)", "-D ~p",
+                                    "-d h(c,d)", "-d p", "-d ~h(c,d)", "-d ~p"]
+
     def test_generated_symbols_exit_2(self, capsys, tmp_path):
         f = tmp_path / "gen.dfl"
         f.write_text("r: => $p(a).\n")
@@ -182,6 +198,17 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(f), "--atom", "p", "--atoms", "p")
         assert code == 0
         assert out.strip() == "p: F ~p: F pair: Poss"
+
+    def test_declared_atom_with_arguments(self, capsys, tmp_path):
+        f = tmp_path / "schema.dfl"
+        f.write_text("f(c). r1: f(X) => g(X).\n")
+        code, out, _ = run(capsys, "classify", str(f), "--ground",
+                           "--atom", "h(c,d)", "--atoms", "g(c),h(c,d)")
+        assert code == 0
+        assert out.strip() == "h(c,d): F ~h(c,d): F pair: Poss"
+        code, out, _ = run(capsys, "classify", str(f), "--ground",
+                           "--atom", "g(c)", "--atoms", "g(c)")
+        assert out.strip() == "g(c): D ~g(c): F pair: Poss"
 
 
 class TestGen:

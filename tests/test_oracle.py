@@ -1,0 +1,105 @@
+"""Differential check of the engine against an independent oracle.
+
+The oracle is a naive fixpoint built only from `engine._line_holds`, the
+transcription of the inference conditions that `replay` checks derivations
+with: it sweeps every candidate tagged literal, adding each one whose
+condition holds, until a sweep adds nothing.  It shares no code with the
+solver's integer tables, counters or worklist.
+"""
+
+import random
+
+import pytest
+
+from deflog import (
+    Atom,
+    ConclusionSet,
+    Literal,
+    Mode,
+    PreconditionError,
+    Tag,
+    TaggedLiteral,
+    Theory,
+    conclusions,
+    prove,
+    replay,
+)
+from deflog.engine import _Index, _line_holds
+
+TAG_ORDER = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
+
+
+def candidates(theory: Theory, extra_atoms=()) -> list[TaggedLiteral]:
+    atoms = set(theory.atoms)
+    atoms.update(Atom(a) if isinstance(a, str) else a for a in extra_atoms)
+    return [TaggedLiteral(tag, Literal(atom, positive))
+            for atom in sorted(atoms, key=str) for positive in (True, False)
+            for tag in TAG_ORDER]
+
+
+def naive_conclusions(theory: Theory, mode: Mode, extra_atoms=()) -> ConclusionSet:
+    index = _Index(theory)
+    pending = candidates(theory, extra_atoms)
+    have: set[TaggedLiteral] = set()
+    changed = True
+    while changed:
+        changed = False
+        for tagged in pending:
+            if tagged not in have and _line_holds(index, tagged, have, mode):
+                have.add(tagged)
+                changed = True
+    return ConclusionSet(*(frozenset(t.literal for t in have if t.tag == tag)
+                           for tag in TAG_ORDER))
+
+
+def assert_engine_matches_oracle(pool) -> int:
+    """Compare on every (seed, theory, extra atoms) in both modes; return
+    how many admitted reduced mode."""
+    reduced = 0
+    for seed, theory, extra in pool:
+        for mode in (Mode.FULL, Mode.REDUCED):
+            try:
+                found = conclusions(theory, mode, extra)
+            except PreconditionError:
+                assert mode == Mode.REDUCED
+                continue
+            reduced += mode == Mode.REDUCED
+            assert found == naive_conclusions(theory, mode, extra), f"seed {seed}, {mode}"
+    return reduced
+
+
+def test_general_pool_matches_oracle(general_pool):
+    assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(general_pool)])
+
+
+def test_normalized_pool_matches_oracle(normalized_pool):
+    assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(normalized_pool)])
+
+
+def test_pipeline_outputs_match_oracle_in_both_modes(pipeline_pool):
+    # A seeded fifth of the pool: outputs are ~10x their inputs, and the
+    # oracle re-examines every candidate on every sweep.
+    seeds = random.Random("oracle").sample(range(len(pipeline_pool)), len(pipeline_pool) // 5)
+    reduced = assert_engine_matches_oracle(
+        [(seed, pipeline_pool[seed][1], pipeline_pool[seed][2]) for seed in seeds])
+    assert reduced == len(seeds)  # every pipeline output admits reduced mode
+
+
+@pytest.mark.parametrize("pool_name, size", [
+    ("general_pool", 20), ("normalized_pool", 20), ("pipeline_pool", 2)])
+def test_prove_agrees_with_conclusions_on_a_sample(request, pool_name, size):
+    # prove() solves the theory afresh for every goal; pipeline outputs have
+    # ~500 candidate goals each.
+    pool = request.getfixturevalue(pool_name)
+    for seed in random.Random(pool_name).sample(range(len(pool)), size):
+        theory = pool[seed][1] if pool_name == "pipeline_pool" else pool[seed]
+        mode = Mode.REDUCED if pool_name == "pipeline_pool" else Mode.FULL
+        found = conclusions(theory, mode)
+        for goal in candidates(theory):
+            derivation = prove(theory, goal, mode)
+            if goal in found:
+                assert derivation is not None, f"seed {seed}: no derivation of {goal}"
+                assert derivation.conclusion == goal
+                assert replay(theory, derivation, mode), f"seed {seed}: {goal}"
+            else:
+                assert derivation is None, f"seed {seed}: derivation of {goal}"

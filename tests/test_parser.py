@@ -85,6 +85,33 @@ class TestErrors:
             parse("r: a - b.")
 
 
+@pytest.mark.parametrize("source, allow_generated, message", [
+    ("r: a - b.", False, "1:6: stray '-' (expected '->')"),
+    ("r: a = b.", False, "1:6: stray '=' (expected '=>')"),
+    ("p.\nq &.", False, "2:3: unexpected character '&'"),
+    ("p.\r\nq @.", False, "2:3: unexpected character '@'"),
+    ("r: => p.\fq.", False, "1:9: unexpected character '\\x0c'"),
+    ("r: => $p(a).", False, "1:7: '$' is reserved for generated symbols"),
+    ("r$x: => p.", False, "1:2: '$' is reserved for generated symbols"),
+    ("r1[x]: => p.", False, "1:3: unexpected character '['"),
+    ("[x]: => p.", True, "1:1: unexpected character '['"),
+    ("r: => $p(a.\nq.", True, "1:12: unterminated '(' group"),
+    ("r: => $s+($f(a),r.", True, "1:19: unterminated '(' group"),
+    ("r1[x: => p.", True, "1:12: unterminated '[' group"),
+    ("% a comment with $ and [ and -\n"
+     "r1: => p.  % $ is fine here\n"
+     "\n"
+     "  r2: p\t=  q.\n", False, "4:9: stray '=' (expected '=>')"),
+    ("% header\nr$a+: => p.\n  r2: => $p(q) ~\n", True, "3:16: expected '.'"),
+])
+def test_error_positions(source, allow_generated, message):
+    with pytest.raises(ParseError) as err:
+        parse(source, allow_generated=allow_generated)
+    assert str(err.value) == message
+    line, col = message.split(":")[:2]
+    assert (err.value.line, err.value.col) == (int(line), int(col))
+
+
 class TestPrint:
     def test_empty_theory_prints_empty(self):
         assert print_theory(parse("")) == ""
