@@ -251,7 +251,10 @@ class Theory:
 
     @cached_property
     def is_ground(self) -> bool:
-        return all(f.is_ground for f in self.facts) and all(r.is_ground for r in self.rules)
+        literals = itertools.chain(
+            self.facts, itertools.chain.from_iterable((r.head, *r.antecedent) for r in self.rules)
+        )
+        return not any(_is_variable(arg) for lit in literals for arg in lit.atom.args)
 
     @property
     def has_generated_symbols(self) -> bool:

@@ -114,7 +114,8 @@ class ConclusionSet:
         """The serialized listing: one `<tag> <literal>` per line, sorted."""
         out: list[str] = []
         for tag in (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL):
-            out.extend(f"{tag.value} {lit}" for lit in sorted(self._set(tag), key=str))
+            prefix = f"{tag.value} "
+            out.extend(prefix + lit for lit in sorted(map(str, self._set(tag))))
         return out
 
 

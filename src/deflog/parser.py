@@ -22,10 +22,18 @@ rejected in user input.  Serialized transformed theories can be read back
 with ``allow_generated=True``, which extends names with ``$``-segments
 (``r4$a+``, ``$ip(r5)``, ``$s+(r5,r4)``) and bracketed instance suffixes
 (``r1[platypus]``).
+
+Reading is built for the large outputs of the transformation passes.  The
+whole source is lexed by one ``re.findall`` call that returns the token
+texts; kinds follow from the texts, and token positions are recomputed only
+to report an error.  The parser then walks the statements by index, and
+builds each distinct literal once per parse, so a theory shares one
+:class:`Literal` object among all its occurrences.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .core import (
@@ -54,16 +62,37 @@ class ParseError(DeflogError):
         self.col = col
 
 
-# One token per match: leading whitespace and comments, then the token.
-# Every position matches something, so the tokens are contiguous.  ERR is a
-# character no token starts with: an error, except that `$` starts a
-# generated name when those are allowed.
-_TOKEN = re.compile(r"""
-    (?:[ \t\r\n]|%[^\n]*)*
-    (?:(?P<ARROW>[-=~]>)|(?P<NEG>~)|(?P<COMMA>,)|(?P<COLON>:)|(?P<DOT>\.)|(?P<GT>>)
-      |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)
-      |(?P<EOF>\Z)|(?P<ERR>.))
-""", re.VERBOSE | re.DOTALL)
+# One pattern per mode matches blanks and then one token or comment; the
+# token text is its only capture.  (Comments are captured and dropped because
+# a repeated group in front of every token makes lexing a third slower.)  A
+# character no token starts with begins a match that runs to the end of the
+# text, so `findall` stops there.  `_tokens` then finishes a name that the
+# pattern could not, using the character-level scanner: a group nested deeper
+# than the pattern handles, an unterminated group, or a non-ASCII letter in a
+# `$`-segment.  Otherwise it raises.  The pattern never backtracks into a
+# `$`-segment.  Its letters and sign are matched whole, and a segment that
+# is followed by `(` must take the group.
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_PAREN_GROUP = r"\([^()\n]*(?:\([^()\n]*(?:\([^()\n]*\)[^()\n]*)*\)[^()\n]*)*\)"  # depth <= 3
+_BRACKET_GROUP = r"\[[^\[\]\n]*(?:\[[^\[\]\n]*\][^\[\]\n]*)*\]"  # depth <= 2
+_DOLLAR_SEGMENT = rf"\$[a-z]*(?![a-z])(?:[+-]|(?![+-]))(?:{_PAREN_GROUP}|(?!\())"
+_GENERATED_NAME = rf"(?:{_NAME}|{_DOLLAR_SEGMENT})(?:{_DOLLAR_SEGMENT}|{_BRACKET_GROUP})*"
+
+
+@functools.cache
+def _lexer(allow_generated: bool) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The token and name patterns of a mode, compiled on first use: the
+    generated-name pattern is the costly one, and only reading transformed
+    theories needs it."""
+    name = _GENERATED_NAME if allow_generated else _NAME
+    token = re.compile(rf"[ \t\r\n]*({name}|[-=~]>|[~,:.>()]|%[^\n]*|\Z|.+)", re.DOTALL)
+    return token, re.compile(name)
+
+
+_BLANKS = frozenset(" \t\r\n")
+_HEAD = re.compile(rf"{_NAME}|")
+_SKIP = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
+_PUNCT = frozenset(("->", "=>", "~>", "~", ",", ":", ".", ">", "(", ")", ""))
 _GROUP_STOPS = {"(": re.compile(r"[()\n]"), "[": re.compile(r"[\[\]\n]")}
 _ERRORS = {
     "-": "stray '-' (expected '->')",
@@ -77,31 +106,49 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _tokens(text: str, allow_generated: bool) -> tuple[list[str], list[str], list[int]]:
-    """Lex the whole source: token kinds, values and start offsets, ending
-    with EOF.  Raises on the first character no token can start with."""
-    kinds: list[str] = []
-    values: list[str] = []
-    starts: list[int] = []
-    match = _TOKEN.match
+def _tokens(text: str, allow_generated: bool) -> list[str]:
+    """Lex the whole source into token texts, ending with the empty EOF
+    token.  A token's kind follows from its text: `_PUNCT` holds every
+    token that is not a name.  Raises on the first character no token can
+    start with."""
+    pattern, name = _lexer(allow_generated)
+    tokens: list[str] = []
     pos = 0
     while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start = m.start(kind)
-        pos = m.end()
-        if kind == "ERR":
-            if not (allow_generated and text[start] == "$"):
-                raise _error_at(text, start, _ERRORS.get(
-                    text[start], f"unexpected character {text[start]!r}"))
-            kind, pos = "NAME", start
-        if kind == "NAME" and allow_generated:
-            pos = _generated_suffix_end(text, pos)
-        kinds.append(kind)
-        values.append(text[start:pos])
-        starts.append(start)
-        if kind == "EOF":
-            return kinds, values, starts
+        found = pattern.findall(text, pos)
+        if "%" in text:
+            found = [token for token in found if token[:1] != "%"]
+        if len(found) > 1 and not found[-2]:
+            found.pop()  # a second EOF match, after trailing blanks
+        last = found[-2] if len(found) > 1 else ""
+        if last in _PUNCT or name.fullmatch(last):
+            tokens += found
+            return tokens
+        # `last` runs from a character no token starts with to the end.
+        start = len(text) - len(last)
+        del found[-2:]
+        end = start
+        if allow_generated:
+            head = start
+            if found and found[-1] not in _PUNCT and text[start - 1] not in _BLANKS:
+                head -= len(found.pop())  # the name the pattern stopped short in
+            if head < start or text[start] == "$":
+                end = _generated_suffix_end(text, _HEAD.match(text, head).end())
+        if end == start:
+            raise _error_at(text, start, _ERRORS.get(
+                text[start], f"unexpected character {text[start]!r}"))
+        tokens += found
+        tokens.append(text[head:end])
+        pos = end
+
+
+def _token_start(text: str, tokens: list[str], index: int) -> int:
+    """Offset of `tokens[index]` in `text`, found by re-scanning."""
+    skip = _SKIP.match
+    pos = 0
+    for token in tokens[:index]:
+        pos = skip(text, pos).end() + len(token)
+    return skip(text, pos).end()
 
 
 def _generated_suffix_end(text: str, pos: int) -> int:
@@ -137,120 +184,6 @@ def _group_end(text: str, pos: int) -> int:
             return pos
 
 
-class _Parser:
-    def __init__(self, text: str, allow_generated: bool):
-        self.text = text
-        self.kinds, self.values, self.starts = _tokens(text, allow_generated)
-        self.pos = 0
-        self.facts: list[Literal] = []
-        self.rules: list[Rule] = []
-        self.labels: set[str] = set()
-        self.superiority: list[tuple[str, str, int]] = []
-
-    def _error(self, message: str, token: int) -> ParseError:
-        return _error_at(self.text, self.starts[token], message)
-
-    def _peek(self) -> str:
-        return self.kinds[self.pos]
-
-    def _take(self, kind: str, what: str) -> int:
-        """Consume a token of `kind` and return its index."""
-        i = self.pos
-        if self.kinds[i] != kind:
-            raise self._error(f"expected {what}", i)
-        self.pos = i + 1
-        return i
-
-    def parse(self) -> Theory:
-        while self._peek() != "EOF":
-            self._statement()
-        for sup, inf, token in self.superiority:
-            for label in (sup, inf):
-                if label not in self.labels:
-                    raise self._error(f"unknown label {label!r}", token)
-        pairs = frozenset((sup, inf) for sup, inf, _ in self.superiority)
-        return Theory(tuple(self.facts), tuple(self.rules), pairs)
-
-    def _statement(self) -> None:
-        kind = self._peek()
-        if kind == "NEG":
-            self._fact()
-            return
-        if kind != "NAME":
-            raise self._error("expected a fact, rule or superiority statement", self.pos)
-        after = self.kinds[self.pos + 1]
-        if after == "COLON":
-            self._rule()
-        elif after == "GT":
-            self._superiority()
-        else:
-            self._fact()
-
-    def _fact(self) -> None:
-        token = self.pos
-        literal = self._literal()
-        if not literal.is_ground:
-            raise self._error("variables are not allowed in facts", token)
-        self._take("DOT", "'.'")
-        self.facts.append(literal)
-
-    def _rule(self) -> None:
-        label_token = self._take("NAME", "a rule label")
-        label = self.values[label_token]
-        if _is_variable(label):
-            raise self._error("labels must start with a lowercase letter", label_token)
-        if label in self.labels:
-            raise self._error(f"duplicate label {label!r}", label_token)
-        self._take("COLON", "':'")
-        antecedent: list[Literal] = []
-        if self._peek() != "ARROW":
-            antecedent.append(self._literal())
-            while self._peek() == "COMMA":
-                self.pos += 1
-                antecedent.append(self._literal())
-        arrow = self.values[self._take("ARROW", "an arrow")]
-        head = self._literal()
-        self._take("DOT", "'.'")
-        self.labels.add(label)
-        self.rules.append(Rule(label, frozenset(antecedent), _ARROWS[arrow], head))
-
-    def _superiority(self) -> None:
-        sup_token = self._take("NAME", "a rule label")
-        self._take("GT", "'>'")
-        inf_token = self._take("NAME", "a rule label")
-        self._take("DOT", "'.'")
-        self.superiority.append((self.values[sup_token], self.values[inf_token], sup_token))
-
-    def _literal(self) -> Literal:
-        positive = True
-        if self._peek() == "NEG":
-            self.pos += 1
-            positive = False
-        return Literal(self._atom(), positive)
-
-    def _atom(self) -> Atom:
-        name_token = self._take("NAME", "an atom")
-        name = self.values[name_token]
-        if _is_variable(name):
-            raise self._error("atom names must start with a lowercase letter", name_token)
-        args: list[str] = []
-        if self._peek() == "LPAREN":
-            self.pos += 1
-            args.append(self._arg())
-            while self._peek() == "COMMA":
-                self.pos += 1
-                args.append(self._arg())
-            self._take("RPAREN", "')'")
-        return Atom(name, tuple(args))
-
-    def _arg(self) -> str:
-        token = self._take("NAME", "an argument")
-        value = self.values[token]
-        if "$" in value or "[" in value:
-            raise self._error("arguments must be plain identifiers", token)
-        return value
-
-
 def parse(text: str, *, allow_generated: bool = False) -> Theory:
     """Parse a `.dfl` source into a theory.
 
@@ -258,7 +191,116 @@ def parse(text: str, *, allow_generated: bool = False) -> Theory:
     duplicate labels, superiority statements that reference unknown labels,
     and (unless `allow_generated` is set) any use of ``$``.
     """
-    return _Parser(text, allow_generated).parse()
+    tokens = _tokens(text, allow_generated)
+
+    def error(message: str, index: int) -> ParseError:
+        return _error_at(text, _token_start(text, tokens, index), message)
+
+    # Each distinct literal is built once per parse, keyed by its atom's
+    # name, or by its name and arguments.
+    positives: dict = {}
+    negatives: dict = {}
+    atoms: dict = {}
+
+    def literal(i: int) -> tuple[Literal, int]:
+        """The literal starting at token `i`, and the index after it."""
+        name = tokens[i]
+        table = positives
+        if name == "~":
+            table = negatives
+            i += 1
+            name = tokens[i]
+        lit = table.get(name)
+        if lit is not None and tokens[i + 1] != "(":
+            return lit, i + 1
+        if name in _PUNCT:
+            raise error("expected an atom", i)
+        if _is_variable(name):
+            raise error("atom names must start with a lowercase letter", i)
+        key = name
+        args: tuple[str, ...] = ()
+        end = i + 1
+        if tokens[end] == "(":
+            while True:
+                end += 1
+                arg = tokens[end]
+                if arg in _PUNCT:
+                    raise error("expected an argument", end)
+                if "$" in arg or "[" in arg:
+                    raise error("arguments must be plain identifiers", end)
+                args += (arg,)
+                end += 1
+                if tokens[end] != ",":
+                    break
+            if tokens[end] != ")":
+                raise error("expected ')'", end)
+            end += 1
+            key = (name, args)
+            lit = table.get(key)
+            if lit is not None:
+                return lit, end
+        atom = atoms.get(key)
+        if atom is None:
+            atom = atoms[key] = Atom(name, args)
+        lit = table[key] = Literal(atom, table is positives)
+        return lit, end
+
+    facts: list[Literal] = []
+    rules: list[Rule] = []
+    labels: set[str] = set()
+    superiority: list[tuple[str, str, int]] = []
+    i = 0
+    while tokens[i]:
+        token = tokens[i]
+        after = tokens[i + 1]
+        is_name = token not in _PUNCT
+        if is_name and after == ":":
+            if _is_variable(token):
+                raise error("labels must start with a lowercase letter", i)
+            if token in labels:
+                raise error(f"duplicate label {token!r}", i)
+            i += 2
+            antecedent: list[Literal] = []
+            if tokens[i] not in _ARROWS:
+                lit, i = literal(i)
+                antecedent.append(lit)
+                while tokens[i] == ",":
+                    lit, i = literal(i + 1)
+                    antecedent.append(lit)
+            kind = _ARROWS.get(tokens[i])
+            if kind is None:
+                raise error("expected an arrow", i)
+            head, i = literal(i + 1)
+            if tokens[i] != ".":
+                raise error("expected '.'", i)
+            labels.add(token)
+            rules.append(Rule(token, frozenset(antecedent), kind, head))
+        elif is_name and after == ">":
+            inferior = tokens[i + 2]
+            if inferior in _PUNCT:
+                raise error("expected a rule label", i + 2)
+            if tokens[i + 3] != ".":
+                raise error("expected '.'", i + 3)
+            superiority.append((token, inferior, i))
+            i += 3
+        elif is_name or token == "~":
+            fact, end = literal(i)
+            if not fact.is_ground:
+                raise error("variables are not allowed in facts", i)
+            i = end
+            if tokens[i] != ".":
+                raise error("expected '.'", i)
+            facts.append(fact)
+        else:
+            raise error("expected a fact, rule or superiority statement", i)
+        i += 1
+
+    for sup, inf, index in superiority:
+        for label in (sup, inf):
+            if label not in labels:
+                raise error(f"unknown label {label!r}", index)
+    pairs = frozenset((sup, inf) for sup, inf, _ in superiority)
+    return Theory(tuple(facts), tuple(rules), pairs)
 
 
 def print_theory(theory: Theory) -> str:

@@ -320,8 +320,8 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
     The result has no facts, no defeaters and an empty superiority relation
     while agreeing with the input on every conclusion over the input's
     atoms; the engine's reduced mode accepts it.  Input must be ground and
-    well-formed.  Normal form is re-checked between the last two stages as a
-    guard; the middle stage preserves it by construction.
+    well-formed.  The middle stage preserves normal form and well-formedness
+    by construction, and `elim_sup` checks both on its input.
     """
     _require_ground(theory, "pipeline")
     wf = check_well_formed(theory)
@@ -332,10 +332,6 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
 
     normalized, report_1 = normal(theory)
     no_defeaters, report_2 = elim_dft(normalized)
-    if not check_normal(no_defeaters).ok or not check_well_formed(no_defeaters).ok:
-        raise TransformError(
-            "internal: defeater elimination left the theory outside normal form"
-        )
     result, report_3 = elim_sup(no_defeaters)
 
     origins = {**report_3.origins, **report_2.origins, **report_1.origins}

@@ -1,3 +1,10 @@
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
 from deflog.cli import main
 
 from conftest import GOLDEN
@@ -20,6 +27,21 @@ class TestConclusions:
         assert "+d mammal(platypus)" in out.splitlines()
         expected = (GOLDEN / "example1.conclusions.txt").read_text()
         assert out == expected
+
+    def test_example1_on_the_oldest_supported_python(self):
+        """`requires-python` is >=3.10: the CLI must run on 3.10 itself."""
+        python = shutil.which("python3.10")
+        # A pyenv shim runs only selected versions; this selects 3.10 there
+        # and is ignored by any other python3.10.
+        env = {**os.environ, "PYENV_VERSION": "3.10",
+               "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        if python is None or subprocess.run([python, "--version"], env=env, capture_output=True,
+                                            timeout=60).returncode != 0:
+            pytest.skip("no python3.10 on PATH")
+        result = subprocess.run([python, "-m", "deflog.cli", "conclusions", EXAMPLE1, "--ground"],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN / "example1.conclusions.txt").read_text()
 
     def test_empty_theory_with_declared_atom(self, capsys, tmp_path):
         empty = tmp_path / "empty.dfl"

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deflog import ParseError, RuleKind, parse, print_theory
+from deflog import (
+    ParseError, RuleKind, Theory, elim_dft, ground, normal, parse, pipeline, print_theory,
+)
 from deflog.analysis import gen_theory
 
 from conftest import GOLDEN
@@ -103,6 +105,18 @@ class TestErrors:
      "\n"
      "  r2: p\t=  q.\n", False, "4:9: stray '=' (expected '=>')"),
     ("% header\nr$a+: => p.\n  r2: => $p(q) ~\n", True, "3:16: expected '.'"),
+    # Generated names nested deeper than the lexer's pattern handles, closed
+    # and unterminated, and a non-ASCII lowercase letter in a `$`-segment.
+    ("r: => $p($p($p($p(a)))) ~\n", True, "1:25: expected '.'"),
+    ("r: => $s-(a,$p($p($p(b))))$x((((c)))) ~", True, "1:39: expected '.'"),
+    ("r1[x[y[z]]] => p.", True, "1:13: expected '.'"),
+    ("r$x$s+($p($p($p($p(a)))),r1[a[b[c]]]): => p.\n$p(q) > r$x.", True,
+     "2:1: unknown label '$p(q)'"),
+    ("r: => $pé(a) ~", True, "1:14: expected '.'"),
+    ("r: => $p($p($p($p(a))).\nq.", True, "1:24: unterminated '(' group"),
+    ("r: => $p((((((a\n", True, "1:16: unterminated '(' group"),
+    ("r1[x[y[z]]: => p.", True, "1:18: unterminated '[' group"),
+    ("r: => p.\n% $p(((( [[[[\nq &", True, "3:3: unexpected character '&'"),
 ])
 def test_error_positions(source, allow_generated, message):
     with pytest.raises(ParseError) as err:
@@ -147,6 +161,11 @@ class TestPrint:
         text = print_theory(example1_ground)
         assert parse(text, allow_generated=True) == example1_ground
 
+    def test_deeply_nested_generated_name(self):
+        (rule,) = parse("r[a[b[c]]]: => $p($p($p($p(a)))).", allow_generated=True).rules
+        assert rule.label == "r[a[b[c]]]"
+        assert rule.head.atom.name == "$p($p($p($p(a))))"
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
@@ -162,3 +181,63 @@ def test_print_is_stable_under_reparse(seed):
     t = gen_theory(seed, num_atoms=5, num_rules=6, sup_density=0.1)
     printed = print_theory(t)
     assert print_theory(parse(printed)) == printed
+
+
+def _assert_round_trips(theory):
+    text = print_theory(theory)
+    reread = parse(text, allow_generated=True)
+    assert reread == theory
+    assert print_theory(reread) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_round_trip_transformed_theories(seed):
+    t = gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2, defeater_fraction=0.25,
+                   strict_fraction=0.25, sup_density=0.2, force_well_formed=True)
+    for stage in (normal, elim_dft, pipeline):
+        _assert_round_trips(stage(t)[0])
+
+
+@st.composite
+def _schemas(draw):
+    """Small well-formed schema theories over unary predicates: labels
+    `s0`, `s1`, ... with variable `X`, facts over constants `a`-`c`, and
+    superiority only from earlier to later rules with complementary heads."""
+    literal = st.tuples(st.booleans(), st.sampled_from("pqr"))
+    facts = draw(st.lists(st.tuples(literal, st.sampled_from("abc")), min_size=1, max_size=3))
+    rules = draw(st.lists(st.tuples(st.lists(literal, max_size=2), st.sampled_from(["->", "=>", "~>"]),
+                                    literal), min_size=1, max_size=5))
+
+    def text(lit, arg):
+        positive, name = lit
+        return f"{'' if positive else '~'}{name}({arg})"
+
+    lines = [f"{text(lit, c)}." for lit, c in facts]
+    lines += [f"s{i}: {', '.join(text(a, 'X') for a in body)} {arrow} {text(head, 'X')}."
+              for i, (body, arrow, head) in enumerate(rules)]
+    pairs = [(i, j) for i in range(len(rules)) for j in range(i + 1, len(rules))
+             if rules[i][2][1] == rules[j][2][1] and rules[i][2][0] != rules[j][2][0]]
+    if pairs:
+        lines += [f"s{i} > s{j}." for i, j in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schemas())
+def test_round_trip_grounded_schemas(source):
+    grounded = ground(parse(source))
+    assert all("[" in rule.label for rule in grounded.rules)
+    _assert_round_trips(grounded)
+    for stage in (normal, elim_dft, pipeline):
+        _assert_round_trips(stage(grounded)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="$[]()~-=>.,:%\n \tpqrX_1+é", max_size=40), st.booleans())
+def test_arbitrary_text_gives_theory_or_parse_error(text, allow_generated):
+    try:
+        result = parse(text, allow_generated=allow_generated)
+    except ParseError:
+        return
+    assert isinstance(result, Theory)
