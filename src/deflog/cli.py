@@ -25,7 +25,7 @@ from .core import (
     ground,
 )
 from .engine import Mode, conclusions
-from .parser import ParseError, parse, print_theory
+from .parser import ParseError, parse, parse_atoms, print_theory
 from .transform import elim_dft, elim_sup, normal, pipeline
 
 EXIT_OK = 0
@@ -53,15 +53,18 @@ def _load(path: str, allow_generated: bool) -> Theory:
 
 
 def _split_atoms(listing: str | None) -> list[str]:
-    """Split a comma-separated atom list; commas inside parentheses separate
+    """Split the `--sigma` atom names; commas inside parentheses separate
     arguments, not atoms."""
     if not listing:
         return []
     return [name for name in re.split(r",(?![^(]*\))", listing) if name]
 
 
-def _atoms(listing: str | None) -> list[Atom]:
-    return [_parse_atom(name) for name in _split_atoms(listing)]
+def _atoms(listing: str | None, flag: str, allow_generated: bool) -> list[Atom]:
+    try:
+        return parse_atoms(listing or "", allow_generated=allow_generated)
+    except ParseError as exc:
+        raise ParseError(f"in {flag}: {exc.message}", exc.line, exc.col) from None
 
 
 def _prepare(theory: Theory, do_ground: bool) -> Theory:
@@ -75,7 +78,8 @@ def _prepare(theory: Theory, do_ground: bool) -> Theory:
 def _cmd_conclusions(args: argparse.Namespace) -> int:
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     mode = Mode.REDUCED if args.mode == "reduced" else Mode.FULL
-    result = conclusions(theory, mode, extra_atoms=_atoms(args.atoms))
+    result = conclusions(theory, mode,
+                         extra_atoms=_atoms(args.atoms, "--atoms", args.allow_generated))
     for line in result.lines():
         print(line)
     return EXIT_OK
@@ -122,18 +126,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if same else EXIT_PROPERTY_FAILS
 
 
-def _parse_atom(text: str) -> Atom:
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        args = tuple(a.strip() for a in rest.rstrip(")").split(","))
-        return Atom(name, args)
-    return Atom(text)
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
-    atom = _parse_atom(args.atom)
-    extra = _atoms(args.atoms)
+    named = _atoms(args.atom, "--atom", args.allow_generated)
+    if len(named) != 1:
+        raise ParseError("in --atom: expected exactly one atom", 1, 1)
+    atom = named[0]
+    extra = _atoms(args.atoms, "--atoms", args.allow_generated)
     if atom not in theory.atoms and atom not in extra:
         raise DeflogError(f"unknown atom: {atom}")
     result = conclusions(theory, Mode.FULL, extra_atoms=extra)

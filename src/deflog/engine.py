@@ -483,11 +483,11 @@ def prove(
     The returned derivation replays: every line's condition holds with
     respect to the strictly earlier lines only.
     """
+    _check_preconditions(theory, mode)
     solver = _Solver(theory)
     atom = goal.literal.atom
     if (atom.name, atom.args) not in solver.ids:
         raise PreconditionError(f"unknown atom: {atom}")
-    _check_preconditions(theory, mode)
     solver.run()
     q = 2 * solver.ids[atom.name, atom.args] + (not goal.literal.positive)
     target = q << 2 | _TAGS.index(goal.tag)

@@ -28,13 +28,16 @@ whole source is lexed by one ``re.findall`` call that returns the token
 texts; kinds follow from the texts, and token positions are recomputed only
 to report an error.  The parser then walks the statements by index, and
 builds each distinct literal once per parse, so a theory shares one
-:class:`Literal` object among all its occurrences.
+:class:`Literal` object among all its occurrences.  :func:`parse_atoms`
+reads a comma-separated list of ground atoms with the same lexer and atom
+rule.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from typing import Callable
 
 from .core import (
     Atom,
@@ -58,6 +61,7 @@ class ParseError(DeflogError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -184,14 +188,10 @@ def _group_end(text: str, pos: int) -> int:
             return pos
 
 
-def parse(text: str, *, allow_generated: bool = False) -> Theory:
-    """Parse a `.dfl` source into a theory.
-
-    Raises :class:`ParseError` with a line:column position on syntax errors,
-    duplicate labels, superiority statements that reference unknown labels,
-    and (unless `allow_generated` is set) any use of ``$``.
-    """
-    tokens = _tokens(text, allow_generated)
+def _reader(
+    text: str, tokens: list[str],
+) -> tuple[Callable[[str, int], ParseError], Callable[[int], tuple[Literal, int]]]:
+    """The error and literal helpers over the tokens of `text`."""
 
     def error(message: str, index: int) -> ParseError:
         return _error_at(text, _token_start(text, tokens, index), message)
@@ -245,6 +245,18 @@ def parse(text: str, *, allow_generated: bool = False) -> Theory:
         lit = table[key] = Literal(atom, table is positives)
         return lit, end
 
+    return error, literal
+
+
+def parse(text: str, *, allow_generated: bool = False) -> Theory:
+    """Parse a `.dfl` source into a theory.
+
+    Raises :class:`ParseError` with a line:column position on syntax errors,
+    duplicate labels, superiority statements that reference unknown labels,
+    and (unless `allow_generated` is set) any use of ``$``.
+    """
+    tokens = _tokens(text, allow_generated)
+    error, literal = _reader(text, tokens)
     facts: list[Literal] = []
     rules: list[Rule] = []
     labels: set[str] = set()
@@ -301,6 +313,31 @@ def parse(text: str, *, allow_generated: bool = False) -> Theory:
                 raise error(f"unknown label {label!r}", index)
     pairs = frozenset((sup, inf) for sup, inf, _ in superiority)
     return Theory(tuple(facts), tuple(rules), pairs)
+
+
+def parse_atoms(text: str, *, allow_generated: bool = False) -> list[Atom]:
+    """Parse a comma-separated list of ground atoms, such as ``g(c),h(c,d),p``.
+
+    Raises :class:`ParseError` as :func:`parse` does, and also on a negated
+    or non-ground entry.  The empty text is the empty list.
+    """
+    tokens = _tokens(text, allow_generated)
+    error, literal = _reader(text, tokens)
+    atoms: list[Atom] = []
+    i = 0
+    while tokens[i]:
+        if atoms:
+            if tokens[i] != ",":
+                raise error("expected ','", i)
+            i += 1
+        if tokens[i] == "~":
+            raise error("expected an atom, not a negated literal", i)
+        lit, end = literal(i)
+        if not lit.is_ground:
+            raise error("variables are not allowed in atoms", i)
+        atoms.append(lit.atom)
+        i = end
+    return atoms
 
 
 def print_theory(theory: Theory) -> str:

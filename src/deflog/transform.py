@@ -20,9 +20,10 @@ reduced mode applies.
 
 Each pass is a pure function returning the new theory plus a
 :class:`TransformReport` with size accounting and the origin of every
-generated symbol.  Sizes count facts, rules and superiority pairs alike; on
-that measure growth is bounded by a factor of 3 for `normal` and `elim_dft`
-and 4 for `elim_sup`.
+symbol the pass minted, recorded as it mints it; a generated symbol with no
+entry came from the input.  Sizes count facts, rules and superiority pairs
+alike; on that measure growth is bounded by a factor of 3 for `normal` and
+`elim_dft` and 4 for `elim_sup`.
 """
 
 from __future__ import annotations
@@ -59,11 +60,13 @@ class TransformError(PreconditionError):
 class TransformReport:
     """Size accounting for one pass, plus the origin of each new symbol.
 
-    `origins` maps the spelling of every generated atom and label in the
-    output to the fact, source rule or superiority pair it came from;
-    symbols that were already generated in the input are marked as carried
-    over.  The growth factor is output size over input size, where size
-    counts facts, rules and superiority pairs; an empty input reports 1.
+    `origins` maps the spelling of every atom and label the pass generated
+    to the fact, source rule or superiority pair it came from.  A generated
+    symbol of the output with no entry came from the input.  `normal`
+    refuses generated input, so the merged origins that `pipeline` reports
+    cover every generated symbol of its output.  The growth factor is output
+    size over input size, where size counts facts, rules and superiority
+    pairs; an empty input reports 1.
     """
 
     input_facts: int
@@ -90,12 +93,6 @@ class TransformReport:
 
 
 def _make_report(source: Theory, result: Theory, origins: dict[str, str]) -> TransformReport:
-    for atom in result.atoms:
-        if atom.generated:
-            origins.setdefault(str(atom), "carried over from input")
-    for rule in result.rules:
-        if rule.generated:
-            origins.setdefault(rule.label, "carried over from input")
     return TransformReport(
         input_facts=len(source.facts),
         input_rules=len(source.rules),
@@ -223,8 +220,8 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
         for new_rule in translated:
             if new_rule.label != rule.label:
                 origins[new_rule.label] = origin
-            for atom in (plus_atom(rule.head.atom), minus_atom(rule.head.atom)):
-                origins.setdefault(str(atom), origin)
+        for atom in (plus_atom(rule.head.atom), minus_atom(rule.head.atom)):
+            origins.setdefault(str(atom), origin)
 
     superiority: set[tuple[str, str]] = set()
     for sup, inf in sorted(theory.superiority):

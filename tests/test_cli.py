@@ -20,6 +20,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_on_python310(*argv: str) -> str:
+    """Stdout of the CLI run under `python3.10`; skips when there is none."""
+    python = shutil.which("python3.10")
+    # A pyenv shim runs only selected versions; this selects 3.10 there
+    # and is ignored by any other python3.10.
+    env = {**os.environ, "PYENV_VERSION": "3.10",
+           "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    if python is None or subprocess.run([python, "--version"], env=env, capture_output=True,
+                                        timeout=60).returncode != 0:
+        pytest.skip("no python3.10 on PATH")
+    result = subprocess.run([python, "-m", "deflog.cli", *argv],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestConclusions:
     def test_example1_ground(self, capsys):
         code, out, _ = run(capsys, "conclusions", EXAMPLE1, "--ground")
@@ -30,18 +46,8 @@ class TestConclusions:
 
     def test_example1_on_the_oldest_supported_python(self):
         """`requires-python` is >=3.10: the CLI must run on 3.10 itself."""
-        python = shutil.which("python3.10")
-        # A pyenv shim runs only selected versions; this selects 3.10 there
-        # and is ignored by any other python3.10.
-        env = {**os.environ, "PYENV_VERSION": "3.10",
-               "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
-        if python is None or subprocess.run([python, "--version"], env=env, capture_output=True,
-                                            timeout=60).returncode != 0:
-            pytest.skip("no python3.10 on PATH")
-        result = subprocess.run([python, "-m", "deflog.cli", "conclusions", EXAMPLE1, "--ground"],
-                                env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == (GOLDEN / "example1.conclusions.txt").read_text()
+        stdout = run_on_python310("conclusions", EXAMPLE1, "--ground")
+        assert stdout == (GOLDEN / "example1.conclusions.txt").read_text()
 
     def test_empty_theory_with_declared_atom(self, capsys, tmp_path):
         empty = tmp_path / "empty.dfl"
@@ -65,6 +71,12 @@ class TestConclusions:
         assert code == 0
         assert out.splitlines() == ["-D h(c,d)", "-D p", "-D ~h(c,d)", "-D ~p",
                                     "-d h(c,d)", "-d p", "-d ~h(c,d)", "-d ~p"]
+
+    def test_declared_atoms_are_read_as_dfl(self, capsys, tmp_path):
+        f = tmp_path / "d.dfl"
+        f.write_text("r: => p.\n")
+        assert run(capsys, "conclusions", str(f), "--atoms", " p") == \
+            run(capsys, "conclusions", str(f), "--atoms", "p")
 
     def test_generated_symbols_exit_2(self, capsys, tmp_path):
         f = tmp_path / "gen.dfl"
@@ -117,6 +129,14 @@ class TestTransform:
         from deflog import parse
 
         parse(out, allow_generated=True)
+
+    @pytest.mark.parametrize("source, stage, golden", [
+        (EXAMPLE2, "normal", "example2.normal.dfl"),
+        (EXAMPLE3, "elim-sup", "example3.elim_sup.dfl"),
+    ])
+    def test_on_the_oldest_supported_python(self, source, stage, golden):
+        stdout = run_on_python310("transform", source, "--stage", stage)
+        assert stdout == (GOLDEN / golden).read_text()
 
     def test_precondition_failure_exit_3(self, capsys, tmp_path):
         f = tmp_path / "fact.dfl"
@@ -214,6 +234,14 @@ class TestClassify:
         assert code == 3
         assert "unknown atom" in err
 
+    @pytest.mark.parametrize("atom", ["", "p,q"])
+    def test_atom_count_exit_2(self, capsys, tmp_path, atom):
+        f = tmp_path / "d.dfl"
+        f.write_text("r: => p.\n")
+        code, _, err = run(capsys, "classify", str(f), "--atom", atom)
+        assert code == 2
+        assert "in --atom: expected exactly one atom" in err
+
     def test_declared_atom_on_empty_theory(self, capsys, tmp_path):
         f = tmp_path / "empty.dfl"
         f.write_text("")
@@ -231,6 +259,18 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(f), "--ground",
                            "--atom", "g(c)", "--atoms", "g(c)")
         assert out.strip() == "g(c): D ~g(c): F pair: Poss"
+
+
+@pytest.mark.parametrize("entry", ["g(X)", "g()", "g(c", "g(c))", "P", "~p", "p,", "p q"])
+@pytest.mark.parametrize("argv", [("conclusions", "--atoms"), ("classify", "--atom"),
+                                  ("classify", "--atom", "g(c)", "--atoms")])
+def test_malformed_atom_exit_2(capsys, tmp_path, argv, entry):
+    f = tmp_path / "schema.dfl"
+    f.write_text("f(c). r1: f(X) => g(X).\n")
+    code, out, err = run(capsys, argv[0], str(f), "--ground", *argv[1:], entry)
+    assert code == 2
+    assert out == ""
+    assert f"in {argv[-1]}: " in err
 
 
 class TestGen:

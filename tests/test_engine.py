@@ -137,6 +137,13 @@ class TestProve:
         with pytest.raises(PreconditionError, match="unknown atom"):
             prove(example1_ground, TaggedLiteral(Tag.PLUS_DELTA, lit("unicorn")))
 
+    def test_requires_ground_theory(self):
+        # q(c) is an atom only of the grounded theory: the precondition is
+        # what fails, not the lookup of the goal.
+        goal = TaggedLiteral(Tag.PLUS_PARTIAL, lit("q", args=("c",)))
+        with pytest.raises(PreconditionError, match="theory is not ground"):
+            prove(parse("f(c). r: f(X) => q(X)."), goal)
+
     def test_agrees_with_conclusions(self, example3):
         c = conclusions(example3)
         for atom in example3.atoms:

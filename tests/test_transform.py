@@ -211,6 +211,29 @@ class TestPipeline:
         out, report = pipeline(example3)
         assert generated_symbols(out) <= set(report.origins)
         assert not any(v == "carried over from input" for v in report.origins.values())
+        for seed in range(40):
+            out, report = pipeline(seeded_well_formed(seed))
+            assert generated_symbols(out) <= set(report.origins), f"seed {seed}"
+
+
+def seeded_well_formed(seed: int) -> Theory:
+    return gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2, defeater_fraction=0.2,
+                      strict_fraction=0.3, sup_density=0.25, force_well_formed=True)
+
+
+@pytest.mark.parametrize("stages", [(normal, elim_dft), (normal, elim_dft, elim_sup)],
+                         ids=["elim_dft", "elim_sup"])
+def test_origins_name_exactly_what_the_pass_minted(stages):
+    # Run on generated input: the symbols the last pass finds already
+    # generated came from the input and get no entry.
+    for seed in range(40):
+        source = seeded_well_formed(seed)
+        for stage in stages[:-1]:
+            source = stage(source)[0]
+        out, report = stages[-1](source)
+        inherited = generated_symbols(source)
+        assert generated_symbols(out) - inherited <= set(report.origins), f"seed {seed}"
+        assert not inherited & set(report.origins), f"seed {seed}"
 
 
 class TestNonModularityRegressions:
