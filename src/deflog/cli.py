@@ -11,7 +11,6 @@ is deterministic.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from .analysis import classify, equivalent, gen_theory, pair_table
@@ -50,14 +49,6 @@ def _read_source(path: str) -> str:
 
 def _load(path: str, allow_generated: bool) -> Theory:
     return parse(_read_source(path), allow_generated=allow_generated)
-
-
-def _split_atoms(listing: str | None) -> list[str]:
-    """Split the `--sigma` atom names; commas inside parentheses separate
-    arguments, not atoms."""
-    if not listing:
-        return []
-    return [name for name in re.split(r",(?![^(]*\))", listing) if name]
 
 
 def _atoms(listing: str | None, flag: str, allow_generated: bool) -> list[Atom]:
@@ -119,9 +110,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not args.other:
         raise DeflogError("check --what equiv needs a second theory file")
     other = _load(args.other, True)
-    sigma = _split_atoms(args.sigma) or None
-    same = equivalent(theory, other, sigma)
-    shown = ",".join(sorted(_split_atoms(args.sigma))) if args.sigma else "common language"
+    sigma = _atoms(args.sigma, "--sigma", args.allow_generated)
+    same = equivalent(theory, other, sigma or None)
+    shown = ",".join(sorted(map(str, sigma))) if sigma else "common language"
     print(f"equivalent over {shown}: {'yes' if same else 'no'}")
     return EXIT_OK if same else EXIT_PROPERTY_FAILS
 

@@ -318,9 +318,12 @@ def parse(text: str, *, allow_generated: bool = False) -> Theory:
 def parse_atoms(text: str, *, allow_generated: bool = False) -> list[Atom]:
     """Parse a comma-separated list of ground atoms, such as ``g(c),h(c,d),p``.
 
-    Raises :class:`ParseError` as :func:`parse` does, and also on a negated
-    or non-ground entry.  The empty text is the empty list.
+    Raises :class:`ParseError` as :func:`parse` does, and also on a
+    comment, a negated or a non-ground entry.  The empty text is the empty
+    list.
     """
+    if "%" in text:
+        raise _error_at(text, text.index("%"), "unexpected character '%'")
     tokens = _tokens(text, allow_generated)
     error, literal = _reader(text, tokens)
     atoms: list[Atom] = []

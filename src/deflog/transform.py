@@ -62,7 +62,9 @@ class TransformReport:
 
     `origins` maps the spelling of every atom and label the pass generated
     to the fact, source rule or superiority pair it came from.  A generated
-    symbol of the output with no entry came from the input.  `normal`
+    symbol of the output with no entry came from the input.  Entries may
+    also name symbols the output lacks, such as the unused one of a
+    defeater's ``$pl``/``$mi`` atoms after `elim_dft`.  `normal`
     refuses generated input, so the merged origins that `pipeline` reports
     cover every generated symbol of its output.  The growth factor is output
     size over input size, where size counts facts, rules and superiority

@@ -261,13 +261,18 @@ class TestClassify:
         assert out.strip() == "g(c): D ~g(c): F pair: Poss"
 
 
-@pytest.mark.parametrize("entry", ["g(X)", "g()", "g(c", "g(c))", "P", "~p", "p,", "p q"])
-@pytest.mark.parametrize("argv", [("conclusions", "--atoms"), ("classify", "--atom"),
-                                  ("classify", "--atom", "g(c)", "--atoms")])
+@pytest.mark.parametrize("entry", ["g(X)", "g()", "g(c", "g(c))", "P", "~p", "p,", "p q",
+                                   "p%q"])
+@pytest.mark.parametrize("argv", [("conclusions", "--ground", "--atoms"),
+                                  ("classify", "--ground", "--atom"),
+                                  ("classify", "--ground", "--atom", "g(c)", "--atoms"),
+                                  ("check", EXAMPLE1, "--what", "equiv", "--sigma")],
+                         ids=["conclusions-atoms", "classify-atom", "classify-atoms",
+                              "check-sigma"])
 def test_malformed_atom_exit_2(capsys, tmp_path, argv, entry):
     f = tmp_path / "schema.dfl"
     f.write_text("f(c). r1: f(X) => g(X).\n")
-    code, out, err = run(capsys, argv[0], str(f), "--ground", *argv[1:], entry)
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:], entry)
     assert code == 2
     assert out == ""
     assert f"in {argv[-1]}: " in err

@@ -223,9 +223,10 @@ def seeded_well_formed(seed: int) -> Theory:
 
 @pytest.mark.parametrize("stages", [(normal, elim_dft), (normal, elim_dft, elim_sup)],
                          ids=["elim_dft", "elim_sup"])
-def test_origins_name_exactly_what_the_pass_minted(stages):
+def test_origins_cover_what_the_pass_minted(stages):
     # Run on generated input: the symbols the last pass finds already
-    # generated came from the input and get no entry.
+    # generated came from the input and get no entry.  Entries may also
+    # name symbols the output lacks (a defeater's unused $pl/$mi atom).
     for seed in range(40):
         source = seeded_well_formed(seed)
         for stage in stages[:-1]:
