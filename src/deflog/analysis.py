@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .core import Atom, Literal, RuleKind, Rule, Theory
+from .core import Atom, Literal, RuleKind, Rule, Theory, _assign, _Value
 from .engine import ConclusionSet, Mode, conclusions
 from .parser import print_theory
 from .transform import normal
@@ -100,13 +99,18 @@ def pair_table(outcome_p: Outcome, outcome_not_p: Outcome) -> PairStatus:
     return PAIR_TABLE[(outcome_p, outcome_not_p)]
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(_Value):
     """Outcomes of a literal and its complement, with the table status."""
 
+    __slots__ = ("outcome_p", "outcome_not_p", "status")
     outcome_p: Outcome
     outcome_not_p: Outcome
     status: PairStatus
+
+    def __init__(self, outcome_p: Outcome, outcome_not_p: Outcome, status: PairStatus) -> None:
+        _assign(self, "outcome_p", outcome_p)
+        _assign(self, "outcome_not_p", outcome_not_p)
+        _assign(self, "status", status)
 
 
 def classify_pair(c: ConclusionSet, literal: Literal) -> PairVerdict:

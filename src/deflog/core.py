@@ -5,7 +5,11 @@ between rule labels.  Rules come in three kinds: strict rules fire whenever
 their antecedents are indisputable, defeasible rules support conclusions but
 can be defeated by contrary evidence, and defeaters can only block
 conclusions.  Everything in this module is immutable and hashable; theories
-compare structurally, ignoring the storage order of facts and rules.
+compare structurally, ignoring the storage order of facts and rules.  The
+value types are plain classes on :class:`_Value`: slotted (except
+:class:`Theory`, whose derived views are cached properties), compared and
+hashed by their fields in order, and atoms, literals, rules and tagged
+literals compute their hash once, at construction.
 
 Atoms may carry arguments.  Uppercase-initial arguments are variables, which
 makes the enclosing rule a schema; :func:`ground` expands schemas over the
@@ -20,12 +24,15 @@ the bottom of this module are the single source of truth for that namespace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 GENERATED_MARKER = "$"
+
+# Writes a field of a new instance past the `__setattr__` that refuses it.
+_assign = object.__setattr__
 
 
 class DeflogError(Exception):
@@ -48,21 +55,76 @@ def _is_variable(name: str) -> bool:
     return name[:1].isupper()
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass's annotated names are its fields, in order.  Instances are
+    equal when they have the same class and equal fields; they hash, print
+    and pickle by the field tuple, as a frozen dataclass does.  Assigning or
+    deleting an attribute raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", cls._fields))
+        if len(fields) > 1:  # `attrgetter` returns a tuple for two names or more
+            cls._values = staticmethod(attrgetter(*fields))
+
+    @staticmethod
+    def _values(value: _Value) -> tuple:
+        """The field tuple of `value`; called as ``value._values(value)``."""
+        return tuple(map(value.__getattribute__, value._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class _Hashed(_Value):
+    """A value type whose constructor stores ``hash(field tuple)``."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Atom(_Hashed):
     """A named proposition, optionally applied to arguments.
 
     Arguments are flat identifiers: lowercase-initial ones are constants,
     uppercase-initial ones are variables.  There are no function symbols.
     """
 
+    __slots__ = ("name", "args")
     name: str
-    args: tuple[str, ...] = ()
+    args: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, args: Iterable[str] = ()) -> None:
+        if not name:
             raise TheoryError("atom name must be nonempty")
-        object.__setattr__(self, "args", tuple(self.args))
+        args = tuple(args)
+        _assign(self, "name", name)
+        _assign(self, "args", args)
+        _assign(self, "_hash", hash((name, args)))
 
     @property
     def generated(self) -> bool:
@@ -87,12 +149,17 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Hashed):
     """A signed atom; the unit of facts, antecedents, heads and conclusions."""
 
+    __slots__ = ("atom", "positive")
     atom: Atom
-    positive: bool = True
+    positive: bool
+
+    def __init__(self, atom: Atom, positive: bool = True) -> None:
+        _assign(self, "atom", atom)
+        _assign(self, "positive", positive)
+        _assign(self, "_hash", hash((atom, positive)))
 
     def complement(self) -> Literal:
         return Literal(self.atom, not self.positive)
@@ -128,19 +195,27 @@ class RuleKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Hashed):
     """A labelled rule: finite antecedent set, arrow kind, head literal."""
 
+    __slots__ = ("label", "antecedent", "kind", "head")
     label: str
     antecedent: frozenset[Literal]
     kind: RuleKind
     head: Literal
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, antecedent: Iterable[Literal], kind: RuleKind,
+                 head: Literal) -> None:
+        if not label:
             raise TheoryError("rule label must be nonempty")
-        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
+        antecedent = frozenset(antecedent)
+        _assign(self, "label", label)
+        _assign(self, "antecedent", antecedent)
+        _assign(self, "kind", kind)
+        _assign(self, "head", head)
+        # An Enum member hashes as its name, so this is hash(field tuple)
+        # without a Python-level call to `Enum.__hash__`.
+        _assign(self, "_hash", hash((label, antecedent, kind._name_, head)))
 
     @property
     def generated(self) -> bool:
@@ -171,16 +246,19 @@ class Rule:
         return f"{self.label}: {self.kind.arrow} {self.head}"
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(_Value):
     """The language of a theory: its user-visible atoms and rule labels."""
 
+    __slots__ = ("atoms", "labels")
     atoms: frozenset[Atom]
     labels: frozenset[str]
 
+    def __init__(self, atoms: frozenset[Atom], labels: frozenset[str]) -> None:
+        _assign(self, "atoms", atoms)
+        _assign(self, "labels", labels)
 
-@dataclass(frozen=True, eq=False)
-class Theory:
+
+class Theory(_Value):
     """A defeasible theory: facts, rules and a superiority relation.
 
     Facts and rules keep their source order for deterministic serialization,
@@ -193,24 +271,30 @@ class Theory:
     accepted and stored; well-formedness is a separate, advisory check.
     """
 
-    facts: tuple[Literal, ...] = ()
-    rules: tuple[Rule, ...] = ()
-    superiority: frozenset[tuple[str, str]] = frozenset()
+    facts: tuple[Literal, ...]
+    rules: tuple[Rule, ...]
+    superiority: frozenset[tuple[str, str]]
 
-    def __post_init__(self) -> None:
-        facts = tuple(dict.fromkeys(self.facts))
-        object.__setattr__(self, "facts", facts)
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "superiority", frozenset(self.superiority))
+    def __init__(
+        self,
+        facts: Iterable[Literal] = (),
+        rules: Iterable[Rule] = (),
+        superiority: Iterable[tuple[str, str]] = frozenset(),
+    ) -> None:
+        facts = tuple(dict.fromkeys(facts))
+        rules = tuple(rules)
+        superiority = frozenset(superiority)
         seen: set[str] = set()
-        for rule in self.rules:
+        for rule in rules:
             if rule.label in seen:
                 raise TheoryError(f"duplicate label {rule.label!r}")
             seen.add(rule.label)
-        for sup, inf in self.superiority:
+        for sup, inf in superiority:
             for label in (sup, inf):
                 if label not in seen:
                     raise TheoryError(f"unknown label {label!r} in superiority relation")
+        # No slots: the cached properties below share this `__dict__`.
+        vars(self).update(facts=facts, rules=rules, superiority=superiority)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Theory):
@@ -279,12 +363,16 @@ def rules_for(
     return tuple(r for r in theory.rules if r.head == head and r.kind in wanted)
 
 
-@dataclass(frozen=True)
-class WellFormedReport:
+class WellFormedReport(_Value):
     """Advisory well-formedness flags for a theory's superiority relation."""
 
+    __slots__ = ("acyclic", "complementary")
     acyclic: bool
     complementary: bool
+
+    def __init__(self, acyclic: bool, complementary: bool) -> None:
+        _assign(self, "acyclic", acyclic)
+        _assign(self, "complementary", complementary)
 
     @property
     def ok(self) -> bool:
@@ -302,10 +390,10 @@ def check_well_formed(theory: Theory) -> WellFormedReport:
     for sup, inf in theory.superiority:
         graph.setdefault(sup, []).append(inf)
     acyclic = not _has_cycle(graph)
-    complementary = all(
-        theory.rule_map[sup].head == theory.rule_map[inf].head.complement()
-        for sup, inf in theory.superiority
-    )
+    heads = ((theory.rule_map[sup].head, theory.rule_map[inf].head)
+             for sup, inf in theory.superiority)
+    # Opposite signs on one atom: no complement literal is built and hashed.
+    complementary = all(a.positive != b.positive and a.atom == b.atom for a, b in heads)
     return WellFormedReport(acyclic=acyclic, complementary=complementary)
 
 
@@ -336,8 +424,7 @@ def _has_cycle(graph: dict[str, list[str]]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(_Value):
     """Flags for the normal-form conditions.
 
     `literal_rule_condition`: every literal is defined solely by strict
@@ -346,9 +433,16 @@ class NormalFormReport:
     relation.  `no_facts`: the fact set is empty.
     """
 
+    __slots__ = ("literal_rule_condition", "no_strict_in_sup", "no_facts")
     literal_rule_condition: bool
     no_strict_in_sup: bool
     no_facts: bool
+
+    def __init__(self, literal_rule_condition: bool, no_strict_in_sup: bool,
+                 no_facts: bool) -> None:
+        _assign(self, "literal_rule_condition", literal_rule_condition)
+        _assign(self, "no_strict_in_sup", no_strict_in_sup)
+        _assign(self, "no_facts", no_facts)
 
     @property
     def ok(self) -> bool:
@@ -463,12 +557,17 @@ class Tag(Enum):
     MINUS_PARTIAL = "-d"
 
 
-@dataclass(frozen=True)
-class TaggedLiteral:
+class TaggedLiteral(_Hashed):
     """A literal annotated with one of the four conclusion tags."""
 
+    __slots__ = ("tag", "literal")
     tag: Tag
     literal: Literal
+
+    def __init__(self, tag: Tag, literal: Literal) -> None:
+        _assign(self, "tag", tag)
+        _assign(self, "literal", literal)
+        _assign(self, "_hash", hash((tag._name_, literal)))  # as in `Rule`
 
     def __str__(self) -> str:
         return f"{self.tag.value} {self.literal}"

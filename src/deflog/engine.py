@@ -38,7 +38,6 @@ whose polarity is never mentioned are still derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, groupby
 from operator import itemgetter
@@ -53,6 +52,8 @@ from .core import (
     Tag,
     TaggedLiteral,
     Theory,
+    _assign,
+    _Value,
 )
 
 
@@ -61,8 +62,7 @@ class Mode(Enum):
     REDUCED = "reduced"
 
 
-@dataclass(frozen=True)
-class ConclusionSet:
+class ConclusionSet(_Value):
     """The four conclusion sets of a theory.
 
     On every engine result the five structural relations hold:
@@ -71,10 +71,18 @@ class ConclusionSet:
     plus_delta/minus_partial are pairwise disjoint.
     """
 
+    __slots__ = ("plus_delta", "minus_delta", "plus_partial", "minus_partial")
     plus_delta: frozenset[Literal]
     minus_delta: frozenset[Literal]
     plus_partial: frozenset[Literal]
     minus_partial: frozenset[Literal]
+
+    def __init__(self, plus_delta: frozenset[Literal], minus_delta: frozenset[Literal],
+                 plus_partial: frozenset[Literal], minus_partial: frozenset[Literal]) -> None:
+        _assign(self, "plus_delta", plus_delta)
+        _assign(self, "minus_delta", minus_delta)
+        _assign(self, "plus_partial", plus_partial)
+        _assign(self, "minus_partial", minus_partial)
 
     def has(self, tag: Tag, literal: Literal) -> bool:
         return literal in self._set(tag)
@@ -119,20 +127,30 @@ class ConclusionSet:
         return out
 
 
-@dataclass(frozen=True)
-class DerivationLine:
+class DerivationLine(_Value):
     """One derivation step: the conclusion, the condition branch that
     licensed it, the rules consulted, and the earlier lines it relies on."""
 
+    __slots__ = ("conclusion", "clause", "rules", "premises")
     conclusion: TaggedLiteral
     clause: str
     rules: tuple[str, ...]
     premises: tuple[TaggedLiteral, ...]
 
+    def __init__(self, conclusion: TaggedLiteral, clause: str, rules: tuple[str, ...],
+                 premises: tuple[TaggedLiteral, ...]) -> None:
+        _assign(self, "conclusion", conclusion)
+        _assign(self, "clause", clause)
+        _assign(self, "rules", rules)
+        _assign(self, "premises", premises)
 
-@dataclass(frozen=True)
-class Derivation:
+
+class Derivation(_Value):
+    __slots__ = ("lines",)
     lines: tuple[DerivationLine, ...]
+
+    def __init__(self, lines: tuple[DerivationLine, ...]) -> None:
+        _assign(self, "lines", lines)
 
     @property
     def conclusion(self) -> TaggedLiteral:

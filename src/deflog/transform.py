@@ -28,14 +28,14 @@ alike; on that measure growth is bounded by a factor of 3 for `normal` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     Literal,
     PreconditionError,
     Rule,
     RuleKind,
     Theory,
+    _assign,
+    _Value,
     bridge_label,
     check_normal,
     check_well_formed,
@@ -56,28 +56,40 @@ class TransformError(PreconditionError):
     """A transformation was applied to input outside its contract."""
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(_Value):
     """Size accounting for one pass, plus the origin of each new symbol.
 
     `origins` maps the spelling of every atom and label the pass generated
     to the fact, source rule or superiority pair it came from.  A generated
-    symbol of the output with no entry came from the input.  Entries may
-    also name symbols the output lacks, such as the unused one of a
-    defeater's ``$pl``/``$mi`` atoms after `elim_dft`.  `normal`
-    refuses generated input, so the merged origins that `pipeline` reports
-    cover every generated symbol of its output.  The growth factor is output
+    symbol of the output with no entry came from the input, and every entry
+    of a single pass names a symbol of its output.  `normal` refuses
+    generated input, so the merged origins that `pipeline` reports cover
+    every generated symbol of its output; they also keep the labels of the
+    middle stage that `elim_sup` renames.  The growth factor is output
     size over input size, where size counts facts, rules and superiority
     pairs; an empty input reports 1.
     """
 
+    __slots__ = ("input_facts", "input_rules", "input_superiority",
+                 "output_facts", "output_rules", "output_superiority", "origins")
     input_facts: int
     input_rules: int
     input_superiority: int
     output_facts: int
     output_rules: int
     output_superiority: int
-    origins: dict[str, str] = field(default_factory=dict)
+    origins: dict[str, str]
+
+    def __init__(self, input_facts: int, input_rules: int, input_superiority: int,
+                 output_facts: int, output_rules: int, output_superiority: int,
+                 origins: dict[str, str] | None = None) -> None:
+        _assign(self, "input_facts", input_facts)
+        _assign(self, "input_rules", input_rules)
+        _assign(self, "input_superiority", input_superiority)
+        _assign(self, "output_facts", output_facts)
+        _assign(self, "output_rules", output_rules)
+        _assign(self, "output_superiority", output_superiority)
+        _assign(self, "origins", {} if origins is None else origins)
 
     @property
     def input_size(self) -> int:
@@ -207,8 +219,9 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     unrelated heads would have no effect on inference and are not emitted.
     """
     _require_ground(theory, "elim_dft")
+    minted = ("$pl(", "$mi(")  # the spellings of plus_atom and minus_atom
     for atom in theory.atoms:
-        if atom.name.startswith("$pl(") or atom.name.startswith("$mi("):
+        if atom.name.startswith(minted):
             raise TransformError("already transformed")
 
     origins: dict[str, str] = {}
@@ -222,8 +235,8 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
         for new_rule in translated:
             if new_rule.label != rule.label:
                 origins[new_rule.label] = origin
-        for atom in (plus_atom(rule.head.atom), minus_atom(rule.head.atom)):
-            origins.setdefault(str(atom), origin)
+            if new_rule.head.atom.name.startswith(minted):
+                origins.setdefault(str(new_rule.head.atom), origin)
 
     superiority: set[tuple[str, str]] = set()
     for sup, inf in sorted(theory.superiority):
@@ -266,10 +279,10 @@ def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
         origin = f"rule {rule.label}"
         not_inf_plus = Literal(inf_plus_atom(rule.label), positive=False)
         not_inf_minus = Literal(inf_minus_atom(rule.label), positive=False)
-        origins.setdefault(str(not_inf_plus.atom), origin)
         origins.setdefault(str(not_inf_minus.atom), origin)
         derived: list[Rule]
         if rule.kind == RuleKind.DEFEASIBLE:
+            origins.setdefault(str(not_inf_plus.atom), origin)
             derived = [
                 Rule(elim_sup_label(rule.label, "a+"), rule.antecedent,
                      RuleKind.DEFEASIBLE, not_inf_plus),
@@ -308,6 +321,8 @@ def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
         rules.extend((plus_rule, minus_rule))
         origins[plus_rule.label] = origin
         origins[minus_rule.label] = origin
+        for label in (sup, inf):  # a defeater's `$ip` occurs only here
+            origins.setdefault(str(inf_plus_atom(label)), f"rule {label}")
 
     result = Theory((), tuple(rules), frozenset())
     return result, _make_report(theory, result, origins)

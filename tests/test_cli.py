@@ -1,6 +1,7 @@
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import GOLDEN
 EXAMPLE1 = str(GOLDEN / "example1.dfl")
 EXAMPLE2 = str(GOLDEN / "example2.dfl")
 EXAMPLE3 = str(GOLDEN / "example3.dfl")
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -20,20 +22,36 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(python: str, *argv: str, **env: str) -> bytes:
+    """Stdout of `python -m deflog.cli *argv` in a child process with `env`
+    added to this one's environment; the CLI must exit 0."""
+    result = subprocess.run([python, "-m", "deflog.cli", *argv], capture_output=True,
+                            env={**os.environ, "PYTHONPATH": SRC, **env}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def run_on_python310(*argv: str) -> str:
     """Stdout of the CLI run under `python3.10`; skips when there is none."""
     python = shutil.which("python3.10")
     # A pyenv shim runs only selected versions; this selects 3.10 there
     # and is ignored by any other python3.10.
-    env = {**os.environ, "PYENV_VERSION": "3.10",
-           "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
-    if python is None or subprocess.run([python, "--version"], env=env, capture_output=True,
-                                        timeout=60).returncode != 0:
+    env = {"PYENV_VERSION": "3.10"}
+    if python is None or subprocess.run([python, "--version"], env={**os.environ, **env},
+                                        capture_output=True, timeout=60).returncode != 0:
         pytest.skip("no python3.10 on PATH")
-    result = subprocess.run([python, "-m", "deflog.cli", *argv],
-                            env=env, capture_output=True, text=True, timeout=60)
+    return run_process(python, *argv, **env).decode()
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Every process pays for its imports: a bare `deflog conclusions` run
+    must not pull in `dataclasses` and the `inspect` it imports."""
+    code = ("import sys; bare = set(sys.modules); import deflog.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert result.returncode == 0, result.stderr
-    return result.stdout
+    assert result.stdout == "[]\n"
 
 
 class TestConclusions:
@@ -43,6 +61,17 @@ class TestConclusions:
         assert "+d mammal(platypus)" in out.splitlines()
         expected = (GOLDEN / "example1.conclusions.txt").read_text()
         assert out == expected
+
+    def test_example1_in_a_process_with_unbuffered_stdout(self):
+        stdout = run_process(sys.executable, "conclusions", EXAMPLE1, "--ground",
+                             PYTHONUNBUFFERED="1")
+        assert stdout == (GOLDEN / "example1.conclusions.txt").read_bytes()
+
+    def test_empty_theory_prints_nothing(self, capsys, tmp_path):
+        empty = tmp_path / "empty.dfl"
+        empty.write_text("")
+        assert run(capsys, "conclusions", str(empty)) == (0, "", "")
+        assert run_process(sys.executable, "conclusions", str(empty), PYTHONUNBUFFERED="1") == b""
 
     def test_example1_on_the_oldest_supported_python(self):
         """`requires-python` is >=3.10: the CLI must run on 3.10 itself."""

@@ -1,14 +1,30 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from deflog import (
     Atom,
+    ConclusionSet,
+    Derivation,
+    DerivationLine,
     GroundingError,
     Literal,
+    NormalFormReport,
+    Outcome,
+    PairStatus,
+    PairVerdict,
+    Rule,
     RuleKind,
+    Sigma,
+    Tag,
+    TaggedLiteral,
     Theory,
     TheoryError,
+    TransformReport,
+    WellFormedReport,
     check_normal,
     check_well_formed,
     complement,
@@ -192,3 +208,116 @@ class TestTheory:
     def test_sigma_of_source_theory(self, example2):
         assert {str(a) for a in example2.sigma.atoms} == {"a", "b", "c", "d", "e"}
         assert example2.sigma.labels == {"r1", "r2", "r3", "r4"}
+
+
+def _value_cases() -> list[tuple[object, tuple[str, ...], str]]:
+    """One instance of each value type, its field names in order, and its repr."""
+    p = lit("p")
+    p_repr = "Literal(atom=Atom(name='p', args=()), positive=True)"
+    rule = Rule("r", frozenset({p}), RuleKind.DEFEASIBLE, lit("q", False))
+    rule_repr = (f"Rule(label='r', antecedent=frozenset({{{p_repr}}}), "
+                 "kind=<RuleKind.DEFEASIBLE: '=>'>, "
+                 "head=Literal(atom=Atom(name='q', args=()), positive=False))")
+    tagged = TaggedLiteral(Tag.PLUS_DELTA, p)
+    tagged_repr = f"TaggedLiteral(tag=<Tag.PLUS_DELTA: '+D'>, literal={p_repr})"
+    line = DerivationLine(tagged, "fact", (), ())
+    line_repr = f"DerivationLine(conclusion={tagged_repr}, clause='fact', rules=(), premises=())"
+    empty = "frozenset()"
+    return [
+        (Atom("g", ("c",)), ("name", "args"), "Atom(name='g', args=('c',))"),
+        (p, ("atom", "positive"), p_repr),
+        (rule, ("label", "antecedent", "kind", "head"), rule_repr),
+        (tagged, ("tag", "literal"), tagged_repr),
+        (Theory((p,), (rule,)), ("facts", "rules", "superiority"),
+         f"Theory(facts=({p_repr},), rules=({rule_repr},), superiority={empty})"),
+        (Sigma(frozenset(), frozenset({"r"})), ("atoms", "labels"),
+         f"Sigma(atoms={empty}, labels=frozenset({{'r'}}))"),
+        (ConclusionSet(frozenset({p}), frozenset(), frozenset({p}), frozenset()),
+         ("plus_delta", "minus_delta", "plus_partial", "minus_partial"),
+         f"ConclusionSet(plus_delta=frozenset({{{p_repr}}}), minus_delta={empty}, "
+         f"plus_partial=frozenset({{{p_repr}}}), minus_partial={empty})"),
+        (line, ("conclusion", "clause", "rules", "premises"), line_repr),
+        (Derivation((line,)), ("lines",), f"Derivation(lines=({line_repr},))"),
+        (WellFormedReport(True, False), ("acyclic", "complementary"),
+         "WellFormedReport(acyclic=True, complementary=False)"),
+        (NormalFormReport(True, False, True),
+         ("literal_rule_condition", "no_strict_in_sup", "no_facts"),
+         "NormalFormReport(literal_rule_condition=True, no_strict_in_sup=False, "
+         "no_facts=True)"),
+        (PairVerdict(Outcome.B, Outcome.F, PairStatus.POSS),
+         ("outcome_p", "outcome_not_p", "status"),
+         "PairVerdict(outcome_p=<Outcome.B: 'B'>, outcome_not_p=<Outcome.F: 'F'>, "
+         "status=<PairStatus.POSS: 'Poss'>)"),
+        (TransformReport(1, 2, 3, 4, 5, 6, {"$p(a)": "fact a"}),
+         ("input_facts", "input_rules", "input_superiority", "output_facts",
+          "output_rules", "output_superiority", "origins"),
+         "TransformReport(input_facts=1, input_rules=2, input_superiority=3, output_facts=4, "
+         "output_rules=5, output_superiority=6, origins={'$p(a)': 'fact a'})"),
+    ]
+
+
+VALUE_CASES = _value_cases()
+
+
+@pytest.mark.parametrize("value, names, expected_repr", VALUE_CASES,
+                         ids=[type(case[0]).__name__ for case in VALUE_CASES])
+class TestValueTypes:
+    """The contract the value types kept from their frozen-dataclass days."""
+
+    def test_repr(self, value, names, expected_repr):
+        assert repr(value) == expected_repr
+
+    def test_keyword_construction(self, value, names, expected_repr):
+        values = tuple(getattr(value, name) for name in names)
+        assert type(value)(**dict(zip(names, values))) == value
+        assert type(value)(*values) == value
+
+    def test_hash_is_the_hash_of_the_field_tuple(self, value, names, expected_repr):
+        values = tuple(getattr(value, name) for name in names)
+        if isinstance(value, TransformReport):
+            with pytest.raises(TypeError):  # `origins` is a dict
+                hash(value)
+        elif isinstance(value, Theory):  # order-insensitive, as its equality
+            assert hash(value) == hash((frozenset(value.facts), frozenset(value.rules),
+                                        value.superiority))
+        else:
+            assert hash(value) == hash(values)
+
+    def test_immutable(self, value, names, expected_repr):
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, names[0])
+
+    def test_pickle_and_copy_round_trip(self, value, names, expected_repr):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value
+            assert repr(twin) == expected_repr
+
+    def test_never_equal_to_a_tuple(self, value, names, expected_repr):
+        values = tuple(getattr(value, name) for name in names)
+        assert value != values and values != value
+
+
+def test_distinct_transform_reports_have_distinct_origins():
+    first, second = TransformReport(0, 0, 0, 0, 0, 0), TransformReport(0, 0, 0, 0, 0, 0)
+    first.origins["x"] = "y"
+    assert second.origins == {}
+
+
+def test_theory_keeps_cached_views():
+    theory = parse("p. r: p => q.")
+    assert theory.atoms is theory.atoms
+    assert theory.rule_map is theory.rule_map
+    assert pickle.loads(pickle.dumps(theory)).atoms == theory.atoms
+
+
+def test_wrong_arguments_raise_type_error():
+    with pytest.raises(TypeError):
+        Atom()
+    with pytest.raises(TypeError):
+        Literal(Atom("p"), True, "extra")
+    with pytest.raises(TypeError):
+        Rule("r", frozenset(), RuleKind.STRICT, head=lit("p"), kind=RuleKind.STRICT)

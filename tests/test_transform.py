@@ -221,12 +221,13 @@ def seeded_well_formed(seed: int) -> Theory:
                       strict_fraction=0.3, sup_density=0.25, force_well_formed=True)
 
 
-@pytest.mark.parametrize("stages", [(normal, elim_dft), (normal, elim_dft, elim_sup)],
-                         ids=["elim_dft", "elim_sup"])
+@pytest.mark.parametrize("stages", [(normal,), (normal, elim_dft), (normal, elim_dft, elim_sup),
+                                    (normal, elim_sup)],
+                         ids=["normal", "elim_dft", "elim_sup", "elim_sup_with_defeaters"])
 def test_origins_cover_what_the_pass_minted(stages):
     # Run on generated input: the symbols the last pass finds already
-    # generated came from the input and get no entry.  Entries may also
-    # name symbols the output lacks (a defeater's unused $pl/$mi atom).
+    # generated came from the input and get no entry, and every entry names
+    # a symbol of the output.
     for seed in range(40):
         source = seeded_well_formed(seed)
         for stage in stages[:-1]:
@@ -235,6 +236,17 @@ def test_origins_cover_what_the_pass_minted(stages):
         inherited = generated_symbols(source)
         assert generated_symbols(out) - inherited <= set(report.origins), f"seed {seed}"
         assert not inherited & set(report.origins), f"seed {seed}"
+        assert set(report.origins) <= generated_symbols(out), f"seed {seed}"
+
+
+def test_defeater_origins_name_only_what_its_image_uses():
+    assert elim_dft(parse("r: a ~> p."))[1].origins == {"$mi(p)": "rule r"}
+    assert elim_dft(parse("r: a ~> ~p."))[1].origins == {"$pl(p)": "rule r"}
+    # The support atom goes to the first rule whose image concludes it.
+    assert elim_dft(parse("d: a ~> p. r: => p."))[1].origins["$pl(p)"] == "rule r"
+    assert "$ip(d)" not in elim_sup(parse("d: a ~> p. r: => ~p."))[1].origins
+    # A defeater's `$ip` occurs only in the rules of a superiority pair.
+    assert elim_sup(parse("d: a ~> p. r: => ~p. d > r."))[1].origins["$ip(d)"] == "rule d"
 
 
 class TestNonModularityRegressions:
