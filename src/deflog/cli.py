@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import classify, equivalent, gen_theory, pair_table
 from .core import (
     Atom,
     DeflogError,
@@ -25,18 +24,21 @@ from .core import (
 )
 from .engine import Mode, conclusions
 from .parser import ParseError, parse, parse_atoms, print_theory
-from .transform import elim_dft, elim_sup, normal, pipeline
+
+# `transform` and `analysis` are imported by the subcommands that call them,
+# so a process pays only for the subcommand it runs.
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_PARSE_ERROR = 2
 EXIT_PRECONDITION = 3
 
+# Each `--stage` and the `deflog.transform` function it runs.
 _STAGES = {
-    "normal": normal,
-    "elim-dft": elim_dft,
-    "elim-sup": elim_sup,
-    "pipeline": pipeline,
+    "normal": "normal",
+    "elim-dft": "elim_dft",
+    "elim-sup": "elim_sup",
+    "pipeline": "pipeline",
 }
 
 
@@ -77,8 +79,10 @@ def _cmd_conclusions(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from . import transform
+
     theory = _load(args.input, args.allow_generated)
-    result, report = _STAGES[args.stage](theory)
+    result, report = getattr(transform, _STAGES[args.stage])(theory)
     sys.stdout.write(print_theory(result))
     if args.report:
         print(f"% input: facts={report.input_facts} rules={report.input_rules}"
@@ -107,6 +111,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"normal form: {'yes' if report.ok else 'no'}")
         return EXIT_OK if report.ok else EXIT_PROPERTY_FAILS
     # equiv
+    from .analysis import equivalent
+
     if not args.other:
         raise DeflogError("check --what equiv needs a second theory file")
     other = _load(args.other, True)
@@ -118,6 +124,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .analysis import classify, pair_table
+
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     named = _atoms(args.atom, "--atom", args.allow_generated)
     if len(named) != 1:
@@ -135,6 +143,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .analysis import gen_theory
+
     theory = gen_theory(
         args.seed,
         num_atoms=args.num_atoms,

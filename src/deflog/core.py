@@ -293,7 +293,8 @@ class Theory(_Value):
             for label in (sup, inf):
                 if label not in seen:
                     raise TheoryError(f"unknown label {label!r} in superiority relation")
-        # No slots: the cached properties below share this `__dict__`.
+        # No slots: the cached properties below share this `__dict__`, and
+        # `engine.prove` keeps its solver there.
         vars(self).update(facts=facts, rules=rules, superiority=superiority)
 
     def __eq__(self, other: object) -> bool:

@@ -24,11 +24,15 @@ The solver follows the counter-driven, linear-time scheme of Maher,
 "Propositional Defeasible Logic has Linear Complexity" (TPLP 1(6), 2001).
 A ground theory is compiled once into integer tables: atoms are interned, a
 literal is ``2 * atom + negated`` (so its complement is ``q ^ 1``) and rules
-get dense ids.  Per rule, countdowns of antecedents not yet proved and flags
-for a refuted antecedent track applicability; they decide the definite
-conclusions outright, and a rule becoming applicable or blocked re-queues
-exactly the defeasible conclusions about its head and the complement, so
-each condition is re-examined only when its inputs change.  One evaluator
+get dense ids.  Counters decide all four conditions.  Per rule they track
+the antecedents not yet proved, whether one is refuted, the superior rules
+not yet blocked and whether one of them fired.  Per literal they count, over
+the rules with that head, the supporting rules that fired and those not yet
+blocked, the rules neither blocked nor overridden, and the rules that fired
+with every superior rule blocked.  Deriving a tagged literal updates the
+counters of the rules that use it, and a conclusion is queued only when one
+of its inputs crosses its threshold, then checked in constant time, so the
+fixpoint runs in time linear in the size of the theory.  One evaluator
 serves both modes.
 
 The candidate universe contains both polarities of every atom occurring in
@@ -180,6 +184,9 @@ class _Index:
                 self.strict.setdefault(rule.head, []).append(rule)
             if rule.kind != RuleKind.DEFEATER:
                 self.supporters.setdefault(rule.head, []).append(rule)
+        # Keyed by the literal attacked, filled on first use: a derivation
+        # checks far fewer literals than a theory has heads.
+        self.attackers: dict[Literal, list[Rule]] = {}
 
     def strict_for(self, q: Literal) -> list[Rule]:
         return self.strict.get(q, [])
@@ -189,7 +196,10 @@ class _Index:
 
     def attackers_of(self, q: Literal) -> list[Rule]:
         """Every rule for the complement of q, defeaters included."""
-        return self.all_rules.get(q.complement(), [])
+        rules = self.attackers.get(q)
+        if rules is None:
+            rules = self.attackers[q] = self.all_rules.get(q.complement(), [])
+        return rules
 
 
 # Tag codes of the solver; a queued or logged entry is `literal << 2 | code`.
@@ -197,15 +207,23 @@ _PD, _MD, _PP, _MP = range(4)
 _TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
 
-def _by_literal(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Group rule ids by literal: entry q is the tuple of ids paired with q.
+def _group(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Group ids by key: entry k is the tuple of ids paired with k.
 
     Tuples of ints drop out of the cyclic garbage collector's view, where
-    one list per literal would make every full collection rescan them.
+    one list per key would make every full collection rescan them.
     """
     out: list[tuple[int, ...]] = [()] * n
-    for q, group in groupby(sorted(pairs), itemgetter(0)):
-        out[q] = tuple(map(itemgetter(1), group))
+    for k, group in groupby(sorted(pairs), itemgetter(0)):
+        out[k] = tuple(map(itemgetter(1), group))
+    return out
+
+
+def _tally(n: int, keys: Iterable[int]) -> list[int]:
+    """How often each of the keys 0..n-1 occurs."""
+    out = [0] * n
+    for k in keys:
+        out[k] += 1
     return out
 
 
@@ -218,20 +236,35 @@ class _Solver:
     antecedent, whether it is strict and whether it supports (is not a
     defeater), and its counterattackers: the supporting rules for the
     complement of its head declared superior to it, the only rules that can
-    override it.
+    override it.  `overrides[t]` lists the rules `t` counterattacks.
 
     Per rule the fixpoint keeps `fire`, the antecedents not yet in `+d`,
-    and `blocked`, set once one is in `-d`, plus `delta_fire` and
-    `delta_blocked` against `+D`/`-D`, which start so that a rule that is
-    not strict never fires and is always blocked at the definite level.
-    Per literal, `delta_open` counts its strict rules not yet blocked, plus
-    one if it is a fact.  Deriving a tagged literal updates those counters
-    through the antecedent index.  The definite conditions are the counters
-    themselves: a strict rule firing proves its head `+D`, and `delta_open`
-    reaching 0 refutes it `-D`.  A rule becoming applicable or blocked
-    queues the defeasible conclusions about its head and the complement,
-    which :meth:`holds` then checks.  Every derivation is logged in order,
-    which is all :func:`prove` needs to rebuild supports.
+    and `blocked`, set once one is in `-d`; `sup_open`, its counterattackers
+    not yet blocked, and `countered`, set once one of them fires; and
+    `delta_fire` and `delta_blocked` against `+D`/`-D`, which start so that
+    a rule that is not strict never fires and is always blocked at the
+    definite level.  Per literal `q` it keeps, over the rules with head `q`:
+
+    * `delta_open`: the strict rules not yet blocked, plus one if `q` is a
+      fact;
+    * `can_support`: the supporting rules that fired;
+    * `open_support`: the supporting rules not yet blocked;
+    * `live`: the rules neither blocked nor countered;
+    * `winning`: the rules that fired with every counterattacker blocked.
+
+    The conditions read these counters.  `+D q` holds once a strict rule for
+    `q` fires and `-D q` once `delta_open[q]` is 0.  `+d q` holds iff `+D q`,
+    or `can_support[q] > 0`, `-D ~q` and `live[~q] == 0`.  `-d q` holds iff
+    `-D q` and one of `open_support[q] == 0`, `+D ~q` or `winning[~q] > 0`.
+    Deriving a tagged literal updates the counters through the antecedent
+    index, and through `overrides` when a supporting rule fires or is
+    blocked.  A conclusion is queued only when one of its inputs crosses its
+    threshold (a counter reaching 0, or 1 from 0, or a tag it reads being
+    derived), so at most four times, and each check when it is popped is
+    O(1).  Every counter moves at most once per antecedent of a rule or per
+    superiority pair, so the run is linear in the size of the theory.
+    Every derivation is logged in order, which is all :func:`prove` needs
+    to rebuild supports.
     """
 
     def __init__(self, theory: Theory, extra_atoms: Iterable[Atom | str] = ()):
@@ -255,7 +288,7 @@ class _Solver:
         facts = list(map(lit, theory.facts))
         rules = theory.rules
         self.labels = [r.label for r in rules]
-        self.head = [lit(r.head) for r in rules]
+        self.head = head = [lit(r.head) for r in rules]
         self.body = [tuple(map(lit, r.antecedent)) for r in rules]
         for extra in extra_atoms:
             lit(Literal(Atom(extra) if isinstance(extra, str) else extra))
@@ -265,9 +298,9 @@ class _Solver:
         for q in facts:
             self.fact[q] = 1
         self.strict = bytearray(r.kind == RuleKind.STRICT for r in rules)
-        self.supports = bytearray(r.kind != RuleKind.DEFEATER for r in rules)
-        self.rules_for = _by_literal(n, zip(self.head, range(len(rules))))
-        self.uses = _by_literal(n, ((a, r) for r, body in enumerate(self.body) for a in body))
+        self.supports = supports = bytearray(r.kind != RuleKind.DEFEATER for r in rules)
+        self.rules_for = _group(n, zip(head, range(len(rules))))
+        self.uses = _group(n, ((a, r) for r, body in enumerate(self.body) for a in body))
 
         superiors: dict[str, set[str]] = {}
         for sup, inf in theory.superiority:
@@ -275,18 +308,34 @@ class _Solver:
         self.counter: list[tuple[int, ...]] = [()] * len(rules)
         for r, label in enumerate(self.labels):
             if label in superiors:
-                self.counter[r] = tuple(t for t in self.supporters_for(self.head[r] ^ 1)
+                self.counter[r] = tuple(t for t in self.supporters_for(head[r] ^ 1)
                                         if self.labels[t] in superiors[label])
+        self.overrides = _group(len(rules), ((t, s) for s, ts in enumerate(self.counter)
+                                             for t in ts))
 
-        self.fire = [len(b) for b in self.body]
+        self.fire = fire = [len(b) for b in self.body]
         self.blocked = bytearray(len(rules))
+        self.sup_open = list(map(len, self.counter))
+        self.countered = bytearray(len(rules))
+        for t, k in enumerate(fire):
+            if not k:
+                for s in self.overrides[t]:
+                    self.countered[s] = 1
+        self.can_support = _tally(n, (h for h, sup, k in zip(head, supports, fire)
+                                      if sup and not k))
+        self.open_support = _tally(n, compress(head, supports))
+        self.live = _tally(n, (h for h, c in zip(head, self.countered) if not c))
+        self.winning = _tally(n, (h for h, k, o in zip(head, fire, self.sup_open)
+                                  if not k and not o))
+
         self.delta_fire = [k + (not strict) for k, strict in zip(self.fire, self.strict)]
         self.delta_blocked = bytearray(not strict for strict in self.strict)
         self.delta_open = list(self.fact)
-        for h, strict in zip(self.head, self.strict):
+        for h, strict in zip(head, self.strict):
             self.delta_open[h] += strict
         self.derived = [bytearray(n) for _ in _TAGS]
         self.log: list[int] = []
+        self.seq: dict[int, int] = {}  # entry -> position in `log`, built for `prove`
 
     def literal(self, q: int) -> Literal:
         literal = self.literals[q]
@@ -302,11 +351,14 @@ class _Solver:
 
     def run(self) -> None:
         derived, head, supports, uses = self.derived, self.head, self.supports, self.uses
-        fire, blocked = self.fire, self.blocked
+        fire, blocked, sup_open, countered = self.fire, self.blocked, self.sup_open, self.countered
+        overrides, can_support, open_support = self.overrides, self.can_support, self.open_support
+        live, winning = self.live, self.winning
         delta_fire, delta_blocked, delta_open = self.delta_fire, self.delta_blocked, self.delta_open
-        holds, log = self.holds, self.log
+        plus_delta, minus_delta = derived[_PD], derived[_MD]
+        log = self.log
         # `+D`/`-D` entries are queued only once their condition holds;
-        # `+d`/`-d` entries whenever an input of theirs changes.
+        # `+d`/`-d` entries whenever an input of theirs crosses its threshold.
         stack = [q << 2 | _MD for q, k in enumerate(delta_open) if not k]
         stack += [q << 2 | _PD for q, fact in enumerate(self.fact) if fact]
         stack += [h << 2 | _PD for h, k in zip(head, delta_fire) if not k]
@@ -315,8 +367,16 @@ class _Solver:
             x = stack.pop()
             code, q = x & 3, x >> 2
             done = derived[code]
-            if done[q] or (code >= _PP and not holds(code, q)):
+            if done[q]:
                 continue
+            if code == _PP:
+                if not (plus_delta[q] or can_support[q] and minus_delta[q ^ 1]
+                        and not live[q ^ 1]):
+                    continue
+            elif code == _MP:
+                if not (minus_delta[q] and (not open_support[q] or plus_delta[q ^ 1]
+                                            or winning[q ^ 1])):
+                    continue
             done[q] = 1
             log.append(x)
             if code == _PD:
@@ -339,47 +399,50 @@ class _Solver:
             elif code == _PP:
                 for r in uses[q]:
                     fire[r] -= 1
-                    if not fire[r]:
-                        h = head[r]
-                        if supports[r]:
+                    if fire[r]:
+                        continue
+                    h = head[r]
+                    if supports[r]:
+                        can_support[h] += 1
+                        if can_support[h] == 1:
                             push(h << 2 | _PP)
-                        push((h ^ 1) << 2 | _MP)
+                        # A rule r overrides has head ~h.
+                        for s in overrides[r]:
+                            if not countered[s]:
+                                countered[s] = 1
+                                if not blocked[s]:
+                                    live[h ^ 1] -= 1
+                                    if not live[h ^ 1]:
+                                        push(h << 2 | _PP)
+                    if not sup_open[r]:
+                        winning[h] += 1
+                        if winning[h] == 1:
+                            push((h ^ 1) << 2 | _MP)
             else:
                 for r in uses[q]:
-                    if not blocked[r]:
-                        blocked[r] = 1
-                        h = head[r]
-                        if supports[r]:
+                    if blocked[r]:
+                        continue
+                    blocked[r] = 1
+                    h = head[r]
+                    if supports[r]:
+                        open_support[h] -= 1
+                        if not open_support[h]:
                             push(h << 2 | _MP)
-                        push((h ^ 1) << 2 | _PP)
+                        for s in overrides[r]:
+                            sup_open[s] -= 1
+                            if not sup_open[s] and not fire[s]:
+                                winning[h ^ 1] += 1
+                                if winning[h ^ 1] == 1:
+                                    push(h << 2 | _MP)
+                    if not countered[r]:
+                        live[h] -= 1
+                        if not live[h]:
+                            push((h ^ 1) << 2 | _PP)
 
-    def holds(self, code: int, q: int) -> bool:
-        """The condition of `+d q` or `-d q` against the conclusions derived
-        so far; `+D` and `-D` are decided by the counters alone."""
-        rules = self.rules_for[q]
-        fire, blocked, derived, supports = self.fire, self.blocked, self.derived, self.supports
-        nq = q ^ 1
-        if code == _PP:
-            if derived[_PD][q]:
-                return True
-            if not derived[_MD][nq] or all(fire[r] or not supports[r] for r in rules):
-                return False
-            return all(
-                blocked[s] or not all(fire[t] for t in self.counter[s])
-                for s in self.rules_for[nq]
-            )
-        if not derived[_MD][q]:
-            return False
-        if all(blocked[r] or not supports[r] for r in rules) or derived[_PD][nq]:
-            return True
-        return any(
-            not fire[s] and all(blocked[t] for t in self.counter[s])
-            for s in self.rules_for[nq]
-        )
-
-    def support(self, x: int, seq: dict[int, int]) -> tuple[str, list[int], list[int]]:
+    def support(self, x: int) -> tuple[str, list[int], list[int]]:
         """Why logged entry `x` holds, from entries logged before it only:
         the clause, the rules consulted and the premise entries."""
+        seq = self.seq
         before = seq[x]
         code, q = x & 3, x >> 2
         nq = q ^ 1
@@ -491,6 +554,22 @@ def conclusions(
     return result
 
 
+def _solved(theory: Theory) -> _Solver:
+    """The run solver `prove` keeps on `theory`, its log indexed by position.
+
+    A theory is immutable and the solver serves both modes, so every later
+    goal on the same object reuses this one solve.  `conclusions` keeps
+    nothing, so its tables are freed before its caller uses the result.
+    """
+    solver = vars(theory).get("_solver")
+    if solver is None:
+        solver = _Solver(theory)
+        solver.run()
+        solver.seq = {x: i for i, x in enumerate(solver.log)}
+        vars(theory)["_solver"] = solver
+    return solver
+
+
 def prove(
     theory: Theory,
     goal: TaggedLiteral,
@@ -499,17 +578,17 @@ def prove(
     """Produce a derivation ending in `goal`, or None if it is not provable.
 
     The returned derivation replays: every line's condition holds with
-    respect to the strictly earlier lines only.
+    respect to the strictly earlier lines only.  The first call on a theory
+    solves it once for all later goals on the same object.
     """
     _check_preconditions(theory, mode)
-    solver = _Solver(theory)
+    solver = _solved(theory)
     atom = goal.literal.atom
     if (atom.name, atom.args) not in solver.ids:
         raise PreconditionError(f"unknown atom: {atom}")
-    solver.run()
     q = 2 * solver.ids[atom.name, atom.args] + (not goal.literal.positive)
     target = q << 2 | _TAGS.index(goal.tag)
-    seq = {x: i for i, x in enumerate(solver.log)}
+    seq = solver.seq
     if target not in seq:
         return None
     supports: dict[int, tuple[str, list[int], list[int]]] = {}
@@ -517,7 +596,7 @@ def prove(
     while stack:
         x = stack.pop()
         if x not in supports:
-            supports[x] = solver.support(x, seq)
+            supports[x] = solver.support(x)
             stack.extend(supports[x][2])
 
     order = sorted(supports, key=seq.__getitem__)

@@ -64,10 +64,11 @@ class TransformReport(_Value):
     symbol of the output with no entry came from the input, and every entry
     of a single pass names a symbol of its output.  `normal` refuses
     generated input, so the merged origins that `pipeline` reports cover
-    every generated symbol of its output; they also keep the labels of the
-    middle stage that `elim_sup` renames.  The growth factor is output
-    size over input size, where size counts facts, rules and superiority
-    pairs; an empty input reports 1.
+    every generated symbol of its output, and they drop the labels of the
+    middle stage that `elim_sup` renames, so every entry names a symbol of
+    the output as well.  The growth factor is output size over input size,
+    where size counts facts, rules and superiority pairs; an empty input
+    reports 1.
     """
 
     __slots__ = ("input_facts", "input_rules", "input_superiority",
@@ -242,7 +243,8 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     for sup, inf in sorted(theory.superiority):
         for sup_image in images[sup]:
             for inf_image in images[inf]:
-                if sup_image.head == inf_image.head.complement():
+                sup_head, inf_head = sup_image.head, inf_image.head
+                if sup_head.positive != inf_head.positive and sup_head.atom == inf_head.atom:
                     superiority.add((sup_image.label, inf_image.label))
 
     result = Theory(theory.facts, tuple(rules), frozenset(superiority))
@@ -348,5 +350,9 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
     no_defeaters, report_2 = elim_dft(normalized)
     result, report_3 = elim_sup(no_defeaters)
 
-    origins = {**report_3.origins, **report_2.origins, **report_1.origins}
+    # `elim_sup` renames every rule it gives an `a-` image; their stage-2
+    # labels are not in the result.
+    kept_2 = {symbol: origin for symbol, origin in report_2.origins.items()
+              if elim_sup_label(symbol, "a-") not in report_3.origins}
+    origins = {**report_3.origins, **kept_2, **report_1.origins}
     return result, _make_report(theory, result, origins)

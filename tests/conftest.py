@@ -1,8 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from deflog import Theory, ground, parse, pipeline
+from deflog import Atom, Literal, Rule, RuleKind, Theory, ground, parse, pipeline
 from deflog.analysis import gen_theory
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +71,36 @@ def well_formed_pool():
                    force_well_formed=True)
         for seed in range(500)
     ]
+
+
+@pytest.fixture(scope="session")
+def multi_superior_pool():
+    # Rules crowd onto two contested atoms, and every rule with at least two
+    # rules for the complement of its head ranked above it in a shuffled
+    # order gets 2-4 of them as superiors: acyclic, between complementary
+    # heads, with defeaters and strict rules among the superiors.
+    pool = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        atoms = [Atom(name) for name in "pqab"]
+
+        def literal(among: list[Atom]) -> Literal:
+            return Literal(rng.choice(among), rng.random() < 0.5)
+
+        kinds = rng.choices(list(RuleKind), [1, 5, 2], k=rng.randint(10, 16))
+        rules = [Rule(f"r{i}", frozenset(literal(atoms) for _ in range(rng.randint(0, 2))),
+                      kind, literal(atoms[:2]))
+                 for i, kind in enumerate(kinds)]
+        rng.shuffle(rules)
+        superiority = set()
+        for i, inf in enumerate(rules):
+            above = [sup.label for sup in rules[:i] if sup.head == inf.head.complement()]
+            if len(above) >= 2:
+                for sup in rng.sample(above, min(len(above), rng.randint(2, 4))):
+                    superiority.add((sup, inf.label))
+        facts = [literal(atoms[2:]) for _ in range(rng.randint(0, 2))]
+        pool.append(Theory(facts, rules, superiority))
+    return pool
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,20 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["conclusions", EXAMPLE1, "--ground"], []),
+    (["transform", EXAMPLE3, "--stage", "normal"], ["deflog.transform"]),
+])
+def test_a_subcommand_imports_only_what_it_calls(argv, loaded):
+    code = ("import sys; from deflog.cli import main; main(sys.argv[1:]); "
+            "print([m for m in ('deflog.analysis', 'deflog.transform') if m in sys.modules], "
+            "file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == f"{loaded}\n"
+
+
 class TestConclusions:
     def test_example1_ground(self, capsys):
         code, out, _ = run(capsys, "conclusions", EXAMPLE1, "--ground")

@@ -8,6 +8,7 @@ solver's integer tables, counters or worklist.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -76,6 +77,15 @@ def test_normalized_pool_matches_oracle(normalized_pool):
     assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(normalized_pool)])
 
 
+def test_multi_superior_pool_matches_oracle(multi_superior_pool):
+    # An attack is countered by any one of several superiors, and wins only
+    # once all of them are blocked.
+    crowded = sum(k >= 2 for t in multi_superior_pool
+                  for k in Counter(inf for _, inf in t.superiority).values())
+    assert crowded >= 3 * len(multi_superior_pool)
+    assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(multi_superior_pool)])
+
+
 def test_pipeline_outputs_match_oracle_in_both_modes(pipeline_pool):
     # A seeded fifth of the pool: outputs are ~10x their inputs, and the
     # oracle re-examines every candidate on every sweep.
@@ -86,10 +96,11 @@ def test_pipeline_outputs_match_oracle_in_both_modes(pipeline_pool):
 
 
 @pytest.mark.parametrize("pool_name, size", [
-    ("general_pool", 20), ("normalized_pool", 20), ("pipeline_pool", 2)])
+    ("general_pool", 20), ("normalized_pool", 20), ("multi_superior_pool", 20),
+    ("pipeline_pool", 2)])
 def test_prove_agrees_with_conclusions_on_a_sample(request, pool_name, size):
-    # prove() solves the theory afresh for every goal; pipeline outputs have
-    # ~500 candidate goals each.
+    # prove() solves each theory once, for all of its goals; pipeline outputs
+    # have ~500 candidate goals each.
     pool = request.getfixturevalue(pool_name)
     for seed in random.Random(pool_name).sample(range(len(pool)), size):
         theory = pool[seed][1] if pool_name == "pipeline_pool" else pool[seed]

@@ -209,11 +209,11 @@ class TestPipeline:
 
     def test_merged_origins_cover_generated_symbols(self, example3):
         out, report = pipeline(example3)
-        assert generated_symbols(out) <= set(report.origins)
+        assert generated_symbols(out) == set(report.origins)
         assert not any(v == "carried over from input" for v in report.origins.values())
         for seed in range(40):
             out, report = pipeline(seeded_well_formed(seed))
-            assert generated_symbols(out) <= set(report.origins), f"seed {seed}"
+            assert generated_symbols(out) == set(report.origins), f"seed {seed}"
 
 
 def seeded_well_formed(seed: int) -> Theory:
