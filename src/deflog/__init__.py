@@ -17,14 +17,14 @@ _EXPORTS = {
                      "equivalent gen_theory pair_table"),
         "core": ("Atom DeflogError GroundingError Literal NormalFormReport PreconditionError "
                  "Rule RuleKind Sigma Tag TaggedLiteral Theory TheoryError WellFormedReport "
-                 "check_normal check_well_formed complement ground rules_for theory_union"),
+                 "check_normal check_well_formed ground theory_union"),
         "engine": "ConclusionSet Derivation DerivationLine Mode conclusions prove replay",
         "parser": "ParseError parse print_theory",
         "transform": "TransformError TransformReport elim_dft elim_sup normal pipeline",
     }.items()
     for name in names.split()
 }
-_MODULES = ("analysis", "core", "engine", "parser", "transform")
+_MODULES = frozenset(_EXPORTS.values())
 
 
 def __getattr__(name: str) -> object:
@@ -43,50 +43,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "ConclusionSet",
-    "DeflogError",
-    "Derivation",
-    "DerivationLine",
-    "GroundingError",
-    "Literal",
-    "Mode",
-    "NormalFormReport",
-    "Outcome",
-    "PairStatus",
-    "PairVerdict",
-    "ParseError",
-    "PreconditionError",
-    "Rule",
-    "RuleKind",
-    "Sigma",
-    "Tag",
-    "TaggedLiteral",
-    "Theory",
-    "TheoryError",
-    "TransformError",
-    "TransformReport",
-    "WellFormedReport",
-    "check_normal",
-    "check_well_formed",
-    "classify",
-    "classify_pair",
-    "complement",
-    "conclusions",
-    "dump_failure",
-    "elim_dft",
-    "elim_sup",
-    "equivalent",
-    "gen_theory",
-    "ground",
-    "normal",
-    "pair_table",
-    "parse",
-    "pipeline",
-    "print_theory",
-    "prove",
-    "replay",
-    "rules_for",
-    "theory_union",
-]
+__all__ = sorted(_EXPORTS)

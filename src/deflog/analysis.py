@@ -205,7 +205,8 @@ def gen_theory(
 
     superiority: set[tuple[str, str]] = set()
     acyclic_only = force_acyclic or force_well_formed
-    for i, sup_rule in enumerate(rules):
+    # At zero density no pair is drawn; this loop is the last use of `rng`.
+    for i, sup_rule in enumerate(rules if sup_density > 0 else ()):
         for j, inf_rule in enumerate(rules):
             if i == j or (acyclic_only and i >= j):
                 continue

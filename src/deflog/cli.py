@@ -33,15 +33,6 @@ EXIT_PROPERTY_FAILS = 1
 EXIT_PARSE_ERROR = 2
 EXIT_PRECONDITION = 3
 
-# Each `--stage` and the `deflog.transform` function it runs.
-_STAGES = {
-    "normal": "normal",
-    "elim-dft": "elim_dft",
-    "elim-sup": "elim_sup",
-    "pipeline": "pipeline",
-}
-
-
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -82,7 +73,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     from . import transform
 
     theory = _load(args.input, args.allow_generated)
-    result, report = getattr(transform, _STAGES[args.stage])(theory)
+    # Each `--stage` runs the `deflog.transform` function it names, `-` read as `_`.
+    result, report = getattr(transform, args.stage.replace("-", "_"))(theory)
     sys.stdout.write(print_theory(result))
     if args.report:
         print(f"% input: facts={report.input_facts} rules={report.input_rules}"
@@ -182,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a transformation stage")
     add_input(p)
-    p.add_argument("--stage", choices=sorted(_STAGES), required=True)
+    p.add_argument("--stage", choices=["elim-dft", "elim-sup", "normal", "pipeline"],
+                   required=True)
     p.add_argument("--report", action="store_true",
                    help="append size accounting as % comments")
     p.set_defaults(func=_cmd_transform)

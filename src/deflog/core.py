@@ -135,14 +135,6 @@ class Atom(_Hashed):
     def is_ground(self) -> bool:
         return not any(_is_variable(a) for a in self.args)
 
-    def variables(self) -> frozenset[str]:
-        return frozenset(a for a in self.args if _is_variable(a))
-
-    def substitute(self, binding: dict[str, str]) -> Atom:
-        if not self.args:
-            return self
-        return Atom(self.name, tuple(binding.get(a, a) for a in self.args))
-
     def __str__(self) -> str:
         if self.args:
             return f"{self.name}({','.join(self.args)})"
@@ -168,19 +160,8 @@ class Literal(_Hashed):
     def is_ground(self) -> bool:
         return self.atom.is_ground
 
-    def variables(self) -> frozenset[str]:
-        return self.atom.variables()
-
-    def substitute(self, binding: dict[str, str]) -> Literal:
-        return Literal(self.atom.substitute(binding), self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"~{self.atom}"
-
-
-def complement(literal: Literal) -> Literal:
-    """The complementary literal: flips polarity, keeps the atom."""
-    return literal.complement()
 
 
 class RuleKind(Enum):
@@ -224,20 +205,6 @@ class Rule(_Hashed):
     @property
     def is_ground(self) -> bool:
         return self.head.is_ground and all(a.is_ground for a in self.antecedent)
-
-    def variables(self) -> frozenset[str]:
-        out = set(self.head.variables())
-        for a in self.antecedent:
-            out |= a.variables()
-        return frozenset(out)
-
-    def substitute(self, binding: dict[str, str], label: str | None = None) -> Rule:
-        return Rule(
-            label if label is not None else self.label,
-            frozenset(a.substitute(binding) for a in self.antecedent),
-            self.kind,
-            self.head.substitute(binding),
-        )
 
     def __str__(self) -> str:
         ants = ", ".join(sorted(str(a) for a in self.antecedent))
@@ -348,20 +315,6 @@ class Theory(_Value):
     def size(self) -> int:
         """Number of knowledge units: facts + rules + superiority pairs."""
         return len(self.facts) + len(self.rules) + len(self.superiority)
-
-
-def rules_for(
-    theory: Theory,
-    head: Literal,
-    kinds: Iterable[RuleKind] | None = None,
-) -> tuple[Rule, ...]:
-    """The rules of `theory` with the given head, filtered by kind.
-
-    With `kinds=None` every kind is admitted.  Passing subsets realizes the
-    usual rule-class selections: strict only, strict-or-defeasible, and so on.
-    """
-    wanted = set(RuleKind) if kinds is None else set(kinds)
-    return tuple(r for r in theory.rules if r.head == head and r.kind in wanted)
 
 
 class WellFormedReport(_Value):
@@ -485,7 +438,9 @@ def ground(theory: Theory) -> Theory:
     to its variables; variable-free rules pass through unchanged.  A
     superiority pair between schemas induces pairs between instances that
     agree on the variables the two schemas share (variables are matched by
-    name) and the full cross product on the remaining ones.
+    name) and the full cross product on the remaining ones: the inferior's
+    instances are indexed by their values on the shared variables, so the
+    work is linear in the instances and the pairs produced.
     """
     if theory.is_ground:
         return theory
@@ -498,32 +453,59 @@ def ground(theory: Theory) -> Theory:
     if not constants:
         raise GroundingError("empty Herbrand universe")
 
-    # For each schema label: the instances, keyed by variable assignment.
-    instances: dict[str, dict[tuple[tuple[str, str], ...], Rule]] = {}
+    ranked = {label for pair in theory.superiority for label in pair}
+    # Per rule in a superiority pair: its variables and its instances'
+    # labels, in the order of `itertools.product` over their values.
+    schemas: dict[str, tuple[list[str], list[str]]] = {}
+    literals: dict[tuple[str, tuple[str, ...], bool], Literal] = {}
     rules: list[Rule] = []
     for rule in theory.rules:
-        variables = sorted(rule.variables())
-        if not variables:
-            instances[rule.label] = {(): rule}
+        variables = sorted({arg for lit in (rule.head, *rule.antecedent)
+                            for arg in lit.atom.args if _is_variable(arg)})
+        start = len(rules)
+        if variables:
+            rules.extend(_instances(rule, variables, constants, literals))
+        else:
             rules.append(rule)
-            continue
-        per_assignment: dict[tuple[tuple[str, str], ...], Rule] = {}
-        for values in itertools.product(constants, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-            inst = rule.substitute(binding, label=instance_label(rule.label, values))
-            per_assignment[tuple(sorted(binding.items()))] = inst
-            rules.append(inst)
-        instances[rule.label] = per_assignment
+        if rule.label in ranked:
+            schemas[rule.label] = variables, [r.label for r in rules[start:]]
 
     superiority: set[tuple[str, str]] = set()
     for sup, inf in theory.superiority:
-        for asg1, inst1 in instances[sup].items():
-            bound1 = dict(asg1)
-            for asg2, inst2 in instances[inf].items():
-                if all(bound1[v] == c for v, c in asg2 if v in bound1):
-                    superiority.add((inst1.label, inst2.label))
+        (sup_vars, sup_labels), (inf_vars, inf_labels) = schemas[sup], schemas[inf]
+        shared = [v for v in sup_vars if v in inf_vars]
+        sup_at = [sup_vars.index(v) for v in shared]
+        inf_at = [inf_vars.index(v) for v in shared]
+        by_shared: dict[tuple[str, ...], list[str]] = {}
+        for values, label in zip(itertools.product(constants, repeat=len(inf_vars)), inf_labels):
+            by_shared.setdefault(tuple(values[i] for i in inf_at), []).append(label)
+        for values, label in zip(itertools.product(constants, repeat=len(sup_vars)), sup_labels):
+            key = tuple(values[i] for i in sup_at)
+            superiority.update((label, other) for other in by_shared[key])
 
     return Theory(theory.facts, tuple(rules), frozenset(superiority))
+
+
+def _instances(rule: Rule, variables: list[str], constants: list[str],
+               literals: dict[tuple[str, tuple[str, ...], bool], Literal]) -> Iterator[Rule]:
+    """The instances of schema `rule`, one per assignment of `constants` to
+    its sorted `variables`, in the order of `itertools.product`.
+
+    `literals` holds the ground literals built so far, keyed by name, args
+    and sign, so each distinct one is built once per grounding.
+    """
+    templates = [(lit.atom.name, lit.atom.args, lit.positive)
+                 for lit in (rule.head, *rule.antecedent)]
+    for values in itertools.product(constants, repeat=len(variables)):
+        binding = dict(zip(variables, values))
+        bound = []
+        for name, args, positive in templates:
+            key = (name, tuple(map(binding.get, args, args)), positive)
+            literal = literals.get(key)
+            if literal is None:
+                literal = literals[key] = Literal(Atom(name, key[1]), positive)
+            bound.append(literal)
+        yield Rule(instance_label(rule.label, values), bound[1:], rule.kind, bound[0])
 
 
 def theory_union(*theories: Theory) -> Theory:

@@ -184,22 +184,12 @@ class _Index:
                 self.strict.setdefault(rule.head, []).append(rule)
             if rule.kind != RuleKind.DEFEATER:
                 self.supporters.setdefault(rule.head, []).append(rule)
-        # Keyed by the literal attacked, filled on first use: a derivation
-        # checks far fewer literals than a theory has heads.
-        self.attackers: dict[Literal, list[Rule]] = {}
 
     def strict_for(self, q: Literal) -> list[Rule]:
         return self.strict.get(q, [])
 
     def supporters_for(self, q: Literal) -> list[Rule]:
         return self.supporters.get(q, [])
-
-    def attackers_of(self, q: Literal) -> list[Rule]:
-        """Every rule for the complement of q, defeaters included."""
-        rules = self.attackers.get(q)
-        if rules is None:
-            rules = self.attackers[q] = self.all_rules.get(q.complement(), [])
-        return rules
 
 
 # Tag codes of the solver; a queued or logged entry is `literal << 2 | code`.
@@ -231,7 +221,9 @@ class _Solver:
     """Counter-driven worklist fixpoint over integer tables.
 
     Compilation interns atoms (literal ``q`` is ``2 * atom + negated``) and
-    numbers the rules.  Per literal there are the rules with that head and
+    numbers the rules; :func:`prove` renumbers the atoms only antecedents
+    mention (:meth:`renumber`), so its derivations are the same in every
+    process.  Per literal there are the rules with that head and
     the rules with it in their antecedent; per rule, its head, its
     antecedent, whether it is strict and whether it supports (is not a
     defeater), and its counterattackers: the supporting rules for the
@@ -289,6 +281,7 @@ class _Solver:
         rules = theory.rules
         self.labels = [r.label for r in rules]
         self.head = head = [lit(r.head) for r in rules]
+        self.known = len(self.atoms)  # the atoms of facts and heads, in theory order
         self.body = [tuple(map(lit, r.antecedent)) for r in rules]
         for extra in extra_atoms:
             lit(Literal(Atom(extra) if isinstance(extra, str) else extra))
@@ -336,6 +329,29 @@ class _Solver:
         self.derived = [bytearray(n) for _ in _TAGS]
         self.log: list[int] = []
         self.seq: dict[int, int] = {}  # entry -> position in `log`, built for `prove`
+
+    def renumber(self) -> None:
+        """Number the atoms after the `known` ones by (name, args) and sort
+        each body; call before :meth:`run`.
+
+        Facts and heads are numbered in theory order, but antecedents are
+        sets, iterated in an order that varies with the process's string
+        hashes.  Renumbering the atoms first met there (or in the extra
+        atoms) makes the log the same in every process, and sorted bodies
+        make :meth:`support` pick the same premises, so every derivation is.
+        Such atoms have no fact and no rule, so every counter reads the same
+        for each of them: only their entries in `ids`, `atoms`, `literals`
+        and `uses` move.  The conclusions are the same either way.
+        """
+        known = self.known
+        tail = sorted(zip(list(self.ids)[known:], range(known, len(self.atoms))))
+        self.ids.update((key, new) for new, (key, _) in enumerate(tail, known))
+        moved = [q for _, old in tail for q in (2 * old, 2 * old + 1)]
+        renumbered = dict(zip(moved, range(2 * known, 2 * len(self.atoms))))
+        self.body = [tuple(sorted(map(renumbered.get, body, body))) for body in self.body]
+        self.atoms[known:] = [self.atoms[old] for _, old in tail]
+        self.literals[2 * known:] = list(map(self.literals.__getitem__, moved))
+        self.uses[2 * known:] = list(map(self.uses.__getitem__, moved))
 
     def literal(self, q: int) -> Literal:
         literal = self.literals[q]
@@ -564,6 +580,7 @@ def _solved(theory: Theory) -> _Solver:
     solver = vars(theory).get("_solver")
     if solver is None:
         solver = _Solver(theory)
+        solver.renumber()
         solver.run()
         solver.seq = {x: i for i, x in enumerate(solver.log)}
         vars(theory)["_solver"] = solver
@@ -659,7 +676,7 @@ def _line_holds(
             return False
         if not holds(Tag.MINUS_DELTA, nq):
             return False
-        for s in index.attackers_of(q):
+        for s in index.all_rules.get(nq, ()):
             if discarded(s, Tag.MINUS_PARTIAL):
                 continue
             if mode == Mode.REDUCED:
@@ -680,7 +697,7 @@ def _line_holds(
         return True
     if holds(Tag.PLUS_DELTA, nq):
         return True
-    for s in index.attackers_of(q):
+    for s in index.all_rules.get(nq, ()):
         if not applicable(s, Tag.PLUS_PARTIAL):
             continue
         if mode == Mode.REDUCED:

@@ -104,6 +104,36 @@ def multi_superior_pool():
 
 
 @pytest.fixture(scope="session")
+def schema_pool():
+    # Schemas with 1-3 of the variables X, Y, Z over 1-3 constants, with
+    # superiority pairs between random schemas, so the two sides of a pair
+    # share 0, 1, 2 or 3 variables.  Some heads carry a constant too.
+    pool = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        constants = [f"c{i}" for i in range(rng.randint(1, 3))]
+        arity = {"p": 1, "q": 2, "s": 3}
+
+        def literal(terms: list[str]) -> Literal:
+            name = rng.choice(list(arity))
+            return Literal(Atom(name, tuple(rng.choice(terms) for _ in range(arity[name]))),
+                           rng.random() < 0.5)
+
+        rules = []
+        for i in range(rng.randint(2, 6)):
+            variables = rng.sample("XYZ", rng.randint(1, 3))
+            body = [literal(variables) for _ in range(rng.randint(0, 2))]
+            head = Literal(Atom("s", tuple(rng.choice(variables + constants[:1])
+                                           for _ in range(3))), rng.random() < 0.5)
+            rules.append(Rule(f"r{i}", body, rng.choice(list(RuleKind)), head))
+        pairs = {(a.label, b.label) for a, b in (rng.sample(rules, 2)
+                                                 for _ in range(rng.randint(1, 4)))}
+        facts = [literal(constants) for _ in range(rng.randint(1, 3))]
+        pool.append(Theory(facts, rules, pairs))
+    return pool
+
+
+@pytest.fixture(scope="session")
 def pipeline_pool(well_formed_pool):
     # Each output comes with the input's language: an atom occurring only in
     # defeater heads disappears from the rewritten theory, but its

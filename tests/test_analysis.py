@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from deflog import (
@@ -143,6 +145,26 @@ class TestGenerator:
             gen_theory(1, num_atoms=3, num_rules=0, sup_density=0.5)
         with pytest.raises(ValueError, match="num_atoms"):
             gen_theory(1, num_atoms=0, num_rules=3)
+
+    def test_zero_density_costs_linear_work(self):
+        # Python and C calls made by `gen_theory`, counted with
+        # `sys.setprofile`: deterministic, unlike a timing.  Linear work
+        # grows 4x from n to 4n rules; drawing for every rule pair, 16x.
+        def calls(n: int) -> int:
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event in ("call", "c_call")
+
+            sys.setprofile(profile)
+            try:
+                gen_theory(1, num_atoms=50, num_rules=n)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert calls(2000) <= 5 * calls(500)
 
     def test_cyclic_pairs_reachable_without_force_flags(self):
         seen_cycle = any(

@@ -92,6 +92,19 @@ class TestConclusions:
         stdout = run_on_python310("conclusions", EXAMPLE1, "--ground")
         assert stdout == (GOLDEN / "example1.conclusions.txt").read_text()
 
+    def test_two_variable_superiority_on_the_oldest_supported_python(self, tmp_path):
+        """`ground` pairs instances through an index of the shared
+        variables' values; 3.10 must give the same listing."""
+        schema = tmp_path / "schema.dfl"
+        schema.write_text("p(a). p(b). p(c). r1: p(X), p(Y) => q(X,Y).\n"
+                          "r2: p(X), p(Z) => ~q(X,Z). r3: p(Y) => ~q(Y,Y).\n"
+                          "r1 > r2. r3 > r1.\n")
+        stdout = run_on_python310("conclusions", str(schema), "--ground")
+        assert stdout == run_process(sys.executable, "conclusions", str(schema),
+                                     "--ground").decode()
+        lines = stdout.splitlines()
+        assert "+d q(a,b)" in lines and "+d ~q(a,a)" in lines
+
     def test_empty_theory_with_declared_atom(self, capsys, tmp_path):
         empty = tmp_path / "empty.dfl"
         empty.write_text("")

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -27,10 +29,9 @@ from deflog import (
     WellFormedReport,
     check_normal,
     check_well_formed,
-    complement,
     ground,
     parse,
-    rules_for,
+    print_theory,
     theory_union,
 )
 from deflog.analysis import gen_theory
@@ -44,39 +45,17 @@ def lit(name: str, positive: bool = True, args: tuple = ()) -> Literal:
 
 class TestComplement:
     def test_flips_polarity(self):
-        assert complement(lit("p")) == lit("p", False)
-        assert complement(lit("p", False)) == lit("p")
+        assert lit("p").complement() == lit("p", False)
+        assert lit("p", False).complement() == lit("p")
 
     def test_involution_on_ground_atom(self):
         flies = lit("flies", args=("tweety",))
-        assert complement(complement(flies)) == flies
+        assert flies.complement().complement() == flies
 
     @given(st.text(alphabet="abcdef", min_size=1), st.booleans())
     def test_involution(self, name, positive):
         l = Literal(Atom(name), positive)
-        assert complement(complement(l)) == l
-
-
-class TestRulesFor:
-    def test_example1_defeasible_supporters(self, example1_ground):
-        q = lit("mammal", args=("platypus",))
-        found = rules_for(example1_ground, q, {RuleKind.DEFEASIBLE})
-        assert {r.label for r in found} == {"r1[platypus]", "r2[platypus]"}
-
-    def test_no_rules_for_unheaded_literal(self, example1_ground):
-        assert rules_for(example1_ground, lit("hasFur", args=("platypus",))) == ()
-
-    def test_example3_strict_or_defeasible(self, example3):
-        found = rules_for(example3, lit("f"), {RuleKind.STRICT, RuleKind.DEFEASIBLE})
-        assert {r.label for r in found} == {"r4"}
-
-    def test_kind_filters_partition(self, example3):
-        for atom in example3.atoms:
-            for q in (Literal(atom), Literal(atom, False)):
-                strict = set(rules_for(example3, q, {RuleKind.STRICT}))
-                defeasible = set(rules_for(example3, q, {RuleKind.DEFEASIBLE}))
-                both = set(rules_for(example3, q, {RuleKind.STRICT, RuleKind.DEFEASIBLE}))
-                assert strict | defeasible == both
+        assert l.complement().complement() == l
 
 
 class TestWellFormed:
@@ -169,6 +148,68 @@ class TestGround:
         assert g.superiority == {
             ("r[a]", "s[a]"), ("r[a]", "s[b]"), ("r[b]", "s[a]"), ("r[b]", "s[b]"),
         }
+
+    def test_schema_pool_against_brute_force(self, schema_pool):
+        """Every instance is its schema under one assignment, and instances
+        of a superiority pair are ranked iff they agree on every shared
+        variable, checked over all instance pairs."""
+        shared_counts = set()
+        for theory in schema_pool:
+            g = ground(theory)
+            by_label = {r.label: r for r in g.rules}
+            constants = sorted({a for atom in theory.atoms for a in atom.args
+                                if not a[0].isupper()})
+            # Per schema label: its instances, each with its assignment.
+            instances = {}
+            for rule in theory.rules:
+                variables = sorted({a for l in (rule.head, *rule.antecedent)
+                                    for a in l.atom.args if a[0].isupper()})
+                instances[rule.label] = []
+                for values in itertools.product(constants, repeat=len(variables)):
+                    binding = dict(zip(variables, values))
+
+                    def bind(l: Literal) -> Literal:
+                        args = tuple(binding.get(a, a) for a in l.atom.args)
+                        return Literal(Atom(l.atom.name, args), l.positive)
+
+                    label = f"{rule.label}[{','.join(values)}]" if values else rule.label
+                    assert by_label[label] == Rule(label, map(bind, rule.antecedent),
+                                                   rule.kind, bind(rule.head))
+                    instances[rule.label].append((label, binding))
+            assert len(g.rules) == sum(map(len, instances.values()))
+            expected = set()
+            for sup, inf in theory.superiority:
+                for label1, binding1 in instances[sup]:
+                    for label2, binding2 in instances[inf]:
+                        shared = binding1.keys() & binding2.keys()
+                        shared_counts.add(len(shared))
+                        if all(binding1[v] == binding2[v] for v in shared):
+                            expected.add((label1, label2))
+            assert g.superiority == expected, print_theory(theory)
+        assert shared_counts == {0, 1, 2, 3}
+
+    def test_superiority_costs_linear_work(self):
+        # Python-level calls made by `ground`, counted as the benchmark's
+        # traced runs count them.  Two-variable schemas that share both
+        # variables have 16x the instances and pairs at 4x the constants;
+        # comparing every instance pair costs 256x.
+        def calls(n: int) -> int:
+            theory = parse(" ".join(f"p(c{i})." for i in range(n))
+                           + " r1: p(X), p(Y) => q(X,Y). r2: p(X), p(Y) => ~q(X,Y). r1 > r2.")
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                ground(theory)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert calls(20) <= 20 * calls(5)
 
 
 class TestTheory:

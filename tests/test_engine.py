@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from deflog import (
@@ -161,6 +166,36 @@ class TestProve:
                 if d is not None:
                     assert replay(example3, d)
                     assert d.conclusion == goal
+
+    def test_derivations_do_not_depend_on_string_hashes(self):
+        """Antecedents are sets, iterated in an order that follows the
+        process's string hashes; the derivations `prove` returns, premises
+        included, must not."""
+        code = """if True:
+            import hashlib
+            from deflog import Literal, Tag, TaggedLiteral, prove
+            from deflog.analysis import gen_theory
+            digest, count = hashlib.sha256(), 0
+            for seed in range(100):
+                t = gen_theory(seed, num_atoms=6, num_rules=10, num_facts=2,
+                               defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.08)
+                for atom in sorted(t.atoms, key=str):
+                    for tag in Tag:
+                        for positive in (True, False):
+                            d = prove(t, TaggedLiteral(tag, Literal(atom, positive)))
+                            if d is not None:
+                                digest.update(repr(d).encode() + b"\\0")
+                                count += 1
+            print(count, digest.hexdigest())
+        """
+        src = str(Path(__file__).parent.parent / "src")
+        outputs = {
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")
+        }
+        assert len(outputs) == 1, outputs
 
 
 class TestReplay:
