@@ -64,6 +64,8 @@ def _cmd_conclusions(args: argparse.Namespace) -> int:
     mode = Mode.REDUCED if args.mode == "reduced" else Mode.FULL
     result = conclusions(theory, mode,
                          extra_atoms=_atoms(args.atoms, "--atoms", args.allow_generated))
+    # The theory keeps its solve; free both before the listing is built.
+    del theory
     # One write: an unbuffered stdout makes every `print` a system call.
     sys.stdout.write("\n".join([*result.lines(), ""]))
     return EXIT_OK

@@ -261,7 +261,8 @@ class Theory(_Value):
                 if label not in seen:
                     raise TheoryError(f"unknown label {label!r} in superiority relation")
         # No slots: the cached properties below share this `__dict__`, and
-        # `engine.prove` keeps its solver there.
+        # so does the solver of the first `engine.conclusions` or
+        # `engine.prove` call, kept for every later one.
         vars(self).update(facts=facts, rules=rules, superiority=superiority)
 
     def __eq__(self, other: object) -> bool:
@@ -603,12 +604,15 @@ def elim_sup_label(label: str, part: str) -> str:
     return f"{label}${part}"
 
 
+_PLUS_PREFIX, _MINUS_PREFIX = "$pl(", "$mi("  # how the atoms `elim_dft` mints begin
+
+
 def plus_atom(atom: Atom) -> Atom:
-    return Atom(f"$pl({atom})")
+    return Atom(f"{_PLUS_PREFIX}{atom})")
 
 
 def minus_atom(atom: Atom) -> Atom:
-    return Atom(f"$mi({atom})")
+    return Atom(f"{_MINUS_PREFIX}{atom})")
 
 
 def dft_label(label: str, sign: str) -> str:

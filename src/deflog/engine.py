@@ -36,13 +36,18 @@ fixpoint runs in time linear in the size of the theory.  One evaluator
 serves both modes.
 
 The candidate universe contains both polarities of every atom occurring in
-the theory (plus any explicitly supplied extras), so refutations of literals
-whose polarity is never mentioned are still derived.
+the theory, so refutations of literals whose polarity is never mentioned are
+still derived.  A theory is compiled and solved once, on its first engine
+call, and the solver is kept on the `Theory` object for every later
+`conclusions` (either mode, any extra atoms) and `prove` call.  Extra atoms
+are not compiled: one the theory does not mention has no fact and no rule,
+so `conclusions` adds `-D` and `-d` of both its literals to the result.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable
@@ -220,11 +225,11 @@ def _tally(n: int, keys: Iterable[int]) -> list[int]:
 class _Solver:
     """Counter-driven worklist fixpoint over integer tables.
 
-    Compilation interns atoms (literal ``q`` is ``2 * atom + negated``) and
-    numbers the rules; :func:`prove` renumbers the atoms only antecedents
-    mention (:meth:`renumber`), so its derivations are the same in every
-    process.  Per literal there are the rules with that head and
-    the rules with it in their antecedent; per rule, its head, its
+    Compilation interns atoms (literal ``q`` is ``2 * atom + negated``),
+    those of facts and heads in theory order and then those only antecedents
+    mention by (name, args), so the log is the same in every process; rules
+    keep their theory order.  Per literal there are the rules with that head
+    and the rules with it in their antecedent; per rule, its head, its
     antecedent, whether it is strict and whether it supports (is not a
     defeater), and its counterattackers: the supporting rules for the
     complement of its head declared superior to it, the only rules that can
@@ -256,10 +261,10 @@ class _Solver:
     O(1).  Every counter moves at most once per antecedent of a rule or per
     superiority pair, so the run is linear in the size of the theory.
     Every derivation is logged in order, which is all :func:`prove` needs
-    to rebuild supports.
+    to rebuild supports; the position map `seq` is built on its first call.
     """
 
-    def __init__(self, theory: Theory, extra_atoms: Iterable[Atom | str] = ()):
+    def __init__(self, theory: Theory):
         self.ids: dict[tuple[str, tuple[str, ...]], int] = {}
         self.atoms: list[Atom] = []
         # The theory's own Literal objects, reused for results where present.
@@ -281,10 +286,13 @@ class _Solver:
         rules = theory.rules
         self.labels = [r.label for r in rules]
         self.head = head = [lit(r.head) for r in rules]
-        self.known = len(self.atoms)  # the atoms of facts and heads, in theory order
+        # Antecedents are sets, iterated in an order that follows the
+        # process's string hashes, so the atoms only they mention are
+        # numbered by (name, args); the log then is the same in every process.
+        in_bodies = {(a.atom.name, a.atom.args): a for r in rules for a in r.antecedent}
+        for key in sorted(in_bodies.keys() - self.ids.keys()):
+            lit(in_bodies[key])
         self.body = [tuple(map(lit, r.antecedent)) for r in rules]
-        for extra in extra_atoms:
-            lit(Literal(Atom(extra) if isinstance(extra, str) else extra))
         n = 2 * len(self.atoms)
 
         self.fact = bytearray(n)
@@ -328,30 +336,11 @@ class _Solver:
             self.delta_open[h] += strict
         self.derived = [bytearray(n) for _ in _TAGS]
         self.log: list[int] = []
-        self.seq: dict[int, int] = {}  # entry -> position in `log`, built for `prove`
 
-    def renumber(self) -> None:
-        """Number the atoms after the `known` ones by (name, args) and sort
-        each body; call before :meth:`run`.
-
-        Facts and heads are numbered in theory order, but antecedents are
-        sets, iterated in an order that varies with the process's string
-        hashes.  Renumbering the atoms first met there (or in the extra
-        atoms) makes the log the same in every process, and sorted bodies
-        make :meth:`support` pick the same premises, so every derivation is.
-        Such atoms have no fact and no rule, so every counter reads the same
-        for each of them: only their entries in `ids`, `atoms`, `literals`
-        and `uses` move.  The conclusions are the same either way.
-        """
-        known = self.known
-        tail = sorted(zip(list(self.ids)[known:], range(known, len(self.atoms))))
-        self.ids.update((key, new) for new, (key, _) in enumerate(tail, known))
-        moved = [q for _, old in tail for q in (2 * old, 2 * old + 1)]
-        renumbered = dict(zip(moved, range(2 * known, 2 * len(self.atoms))))
-        self.body = [tuple(sorted(map(renumbered.get, body, body))) for body in self.body]
-        self.atoms[known:] = [self.atoms[old] for _, old in tail]
-        self.literals[2 * known:] = list(map(self.literals.__getitem__, moved))
-        self.uses[2 * known:] = list(map(self.uses.__getitem__, moved))
+    @cached_property
+    def seq(self) -> dict[int, int]:
+        """Entry -> position in `log`; built on the first :func:`prove`."""
+        return {x: i for i, x in enumerate(self.log)}
 
     def literal(self, q: int) -> Literal:
         literal = self.literals[q]
@@ -466,12 +455,16 @@ class _Solver:
         def earlier(entry: int) -> bool:
             return seq.get(entry, before) < before
 
+        def body(r: int, code: int) -> list[int]:
+            # In literal order: the premises picked are the same in every process.
+            return [a << 2 | code for a in sorted(self.body[r])]
+
         def applicable(r: int, code: int) -> list[int] | None:
-            premises = [a << 2 | code for a in self.body[r]]
+            premises = body(r, code)
             return premises if all(map(earlier, premises)) else None
 
         def blocker(r: int, code: int) -> int | None:
-            return next(filter(earlier, [a << 2 | code for a in self.body[r]]), None)
+            return next(filter(earlier, body(r, code)), None)
 
         def first_applicable(rules: Iterable[int], code: int) -> tuple[int, list[int]]:
             for r in rules:
@@ -524,26 +517,32 @@ class _Solver:
         raise AssertionError(f"no support for logged entry {x}")
 
 
-def _check_reduced_preconditions(theory: Theory) -> None:
-    problems = []
-    if theory.facts:
-        problems.append("facts")
-    if any(r.kind == RuleKind.DEFEATER for r in theory.rules):
-        problems.append("defeaters")
-    if theory.superiority:
-        problems.append("a superiority relation")
-    if problems:
-        raise PreconditionError(
-            "reduced mode precondition: theory still contains "
-            + ", ".join(problems)
-        )
-
-
 def _check_preconditions(theory: Theory, mode: Mode) -> None:
     if not theory.is_ground:
         raise PreconditionError("theory is not ground; expand schemas first")
     if mode == Mode.REDUCED:
-        _check_reduced_preconditions(theory)
+        problems = [name for name, present in (
+            ("facts", theory.facts),
+            ("defeaters", any(r.kind == RuleKind.DEFEATER for r in theory.rules)),
+            ("a superiority relation", theory.superiority),
+        ) if present]
+        if problems:
+            raise PreconditionError(
+                "reduced mode precondition: theory still contains " + ", ".join(problems))
+
+
+def _solved(theory: Theory) -> _Solver:
+    """The run solver kept on `theory`, which :func:`conclusions` and
+    :func:`prove` read: it serves both modes and any extra atoms, so the
+    first of these calls on an object solves it for every later one.  It is
+    kept only once its run is complete.
+    """
+    solver = vars(theory).get("_solver")
+    if solver is None:
+        solver = _Solver(theory)
+        solver.run()
+        vars(theory)["_solver"] = solver
+    return solver
 
 
 def conclusions(
@@ -562,29 +561,21 @@ def conclusions(
     the four sets are verified on every result before it is returned.
     """
     _check_preconditions(theory, mode)
-    solver = _Solver(theory, extra_atoms)
-    solver.run()
+    solver = _solved(theory)
     literals = list(map(solver.literal, range(len(solver.fact))))
-    result = ConclusionSet(*(frozenset(compress(literals, done)) for done in solver.derived))
+    found = [frozenset(compress(literals, done)) for done in solver.derived]
+    # An atom with no fact and no rule has both of its literals refuted at
+    # both levels, and nothing else.
+    absent = frozenset(
+        Literal(atom, positive)
+        for atom in (Atom(a) if isinstance(a, str) else a for a in extra_atoms)
+        if (atom.name, atom.args) not in solver.ids for positive in (True, False))
+    if absent:
+        found[_MD] |= absent
+        found[_MP] |= absent
+    result = ConclusionSet(*found)
     result.validate()
     return result
-
-
-def _solved(theory: Theory) -> _Solver:
-    """The run solver `prove` keeps on `theory`, its log indexed by position.
-
-    A theory is immutable and the solver serves both modes, so every later
-    goal on the same object reuses this one solve.  `conclusions` keeps
-    nothing, so its tables are freed before its caller uses the result.
-    """
-    solver = vars(theory).get("_solver")
-    if solver is None:
-        solver = _Solver(theory)
-        solver.renumber()
-        solver.run()
-        solver.seq = {x: i for i, x in enumerate(solver.log)}
-        vars(theory)["_solver"] = solver
-    return solver
 
 
 def prove(
@@ -595,8 +586,8 @@ def prove(
     """Produce a derivation ending in `goal`, or None if it is not provable.
 
     The returned derivation replays: every line's condition holds with
-    respect to the strictly earlier lines only.  The first call on a theory
-    solves it once for all later goals on the same object.
+    respect to the strictly earlier lines only.  It reads the solve kept on
+    the theory, and is the same in every process.
     """
     _check_preconditions(theory, mode)
     solver = _solved(theory)

@@ -34,6 +34,8 @@ from .core import (
     Rule,
     RuleKind,
     Theory,
+    _MINUS_PREFIX,
+    _PLUS_PREFIX,
     _assign,
     _Value,
     bridge_label,
@@ -220,7 +222,7 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     unrelated heads would have no effect on inference and are not emitted.
     """
     _require_ground(theory, "elim_dft")
-    minted = ("$pl(", "$mi(")  # the spellings of plus_atom and minus_atom
+    minted = (_PLUS_PREFIX, _MINUS_PREFIX)
     for atom in theory.atoms:
         if atom.name.startswith(minted):
             raise TransformError("already transformed")

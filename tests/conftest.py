@@ -1,10 +1,12 @@
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from deflog import Atom, Literal, Rule, RuleKind, Theory, ground, parse, pipeline
 from deflog.analysis import gen_theory
+from deflog.engine import _Solver
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +42,20 @@ def example3() -> Theory:
 DD_SOURCE = "r1: => p. r2: => ~p. r1 > r2. r2 > r1."
 DE_SOURCE = "r1: p => p. r2: => ~p. r1 > r2. r2 > r1."
 BE_SOURCE = "r1: p => p. r2: => ~p. r3: ~p -> ~p. r1 > r2. r2 > r1. r1 > r3."
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """Weak references to the `_Solver`s built while a test runs."""
+    built = []
+    init = _Solver.__init__
+
+    def tracked(self, *args):
+        built.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(_Solver, "__init__", tracked)
+    return built
 
 
 # --- generated-theory pools shared by the acceptance and oracle suites ------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from deflog.cli import main
+from deflog.engine import ConclusionSet
 
 from conftest import GOLDEN
 
@@ -150,6 +151,29 @@ class TestConclusions:
         code, _, err = run(capsys, "conclusions", EXAMPLE3, "--mode", "reduced")
         assert code == 3
         assert "reduced mode precondition" in err
+
+    @pytest.mark.parametrize("argv", [
+        [EXAMPLE1, "--ground"],
+        ["{reduced}", "--mode", "reduced", "--atoms", "zz,a"],
+    ])
+    def test_no_solver_is_alive_while_the_listing_is_built(self, capsys, monkeypatch,
+                                                            tmp_path, solvers, argv):
+        """A theory keeps its solve, so the command drops the theory before
+        it builds the listing, where its memory peaks."""
+        reduced = tmp_path / "reduced.dfl"
+        reduced.write_text("r1: a => p. r2: => ~p. r3: p -> q.\n")
+        argv = [arg.format(reduced=reduced) for arg in argv]
+        alive = []
+        lines = ConclusionSet.lines
+
+        def tracked_lines(self):
+            alive.append(sum(ref() is not None for ref in solvers))
+            return lines(self)
+
+        monkeypatch.setattr(ConclusionSet, "lines", tracked_lines)
+        code, out, _ = run(capsys, "conclusions", *argv)
+        assert code == 0 and out
+        assert len(solvers) == 1 and alive == [0]
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -16,13 +16,16 @@ from deflog import (
     TaggedLiteral,
     conclusions,
     elim_sup,
+    equivalent,
     normal,
     parse,
+    pipeline,
     prove,
     replay,
 )
-from deflog.analysis import gen_theory
+from deflog.analysis import classify_pair, gen_theory
 from deflog.core import inf_minus_atom, primed_atom
+from deflog.engine import _Solver
 
 
 def lit(name: str, positive: bool = True, args: tuple = ()) -> Literal:
@@ -170,15 +173,26 @@ class TestProve:
     def test_derivations_do_not_depend_on_string_hashes(self):
         """Antecedents are sets, iterated in an order that follows the
         process's string hashes; the derivations `prove` returns, premises
-        included, must not."""
+        included, must not.  Nor may they depend on which call solved the
+        theory first: `prove` itself, `conclusions` with extra atoms, or
+        reduced-mode `conclusions` (on the theories that admit it)."""
         code = """if True:
-            import hashlib
-            from deflog import Literal, Tag, TaggedLiteral, prove
+            import hashlib, sys
+            from deflog import (Literal, Mode, PreconditionError, Tag, TaggedLiteral,
+                                conclusions, prove)
             from deflog.analysis import gen_theory
+            first = {"prove": lambda t: None,
+                     "extras": lambda t: conclusions(t, extra_atoms=["zz", "a"]),
+                     "reduced": lambda t: conclusions(t, Mode.REDUCED)}[sys.argv[1]]
+            general = dict(num_facts=2, defeater_fraction=0.2, sup_density=0.08)
             digest, count = hashlib.sha256(), 0
-            for seed in range(100):
-                t = gen_theory(seed, num_atoms=6, num_rules=10, num_facts=2,
-                               defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.08)
+            for seed in range(150):
+                t = gen_theory(seed, num_atoms=6, num_rules=10, strict_fraction=0.3,
+                               **(general if seed < 100 else {}))
+                try:
+                    first(t)
+                except PreconditionError:
+                    pass
                 for atom in sorted(t.atoms, key=str):
                     for tag in Tag:
                         for positive in (True, False):
@@ -190,12 +204,71 @@ class TestProve:
         """
         src = str(Path(__file__).parent.parent / "src")
         outputs = {
-            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           check=True, timeout=120,
+            subprocess.run([sys.executable, "-c", code, first], capture_output=True,
+                           text=True, check=True, timeout=120,
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
-            for seed in ("0", "1")
+            for seed in ("0", "1") for first in ("prove", "extras", "reduced")
         }
         assert len(outputs) == 1, outputs
+
+
+class TestOneSolvePerTheory:
+    def test_a_library_job_solves_the_input_and_its_pipeline_output_once_each(self, solvers):
+        # The acceptance suite's traffic on one theory: the input is solved
+        # once, with Σ as extra atoms, for every later call on it.
+        theory = gen_theory(3, num_atoms=6, num_rules=10, num_facts=2, defeater_fraction=0.2,
+                            strict_fraction=0.3, sup_density=0.2, force_well_formed=True)
+        result, _ = pipeline(theory)
+        assert equivalent(theory, result)
+        found = conclusions(theory)
+        for atom in sorted(theory.atoms, key=str):
+            classify_pair(found, Literal(atom))
+        for tag in (Tag.PLUS_PARTIAL, Tag.MINUS_DELTA, Tag.MINUS_PARTIAL):
+            prove(theory, TaggedLiteral(tag, Literal(min(theory.atoms, key=str))))
+        assert len(solvers) == 2
+
+    def test_both_modes_and_prove_share_one_solve(self, solvers):
+        theory = gen_theory(5, num_atoms=6, num_rules=10, strict_fraction=0.3)
+        full = conclusions(theory, extra_atoms=["zz"])
+        assert conclusions(theory, Mode.REDUCED) == full.restrict(theory.atoms)
+        for atom in theory.atoms:
+            for tag in Tag:
+                goal = TaggedLiteral(tag, Literal(atom))
+                assert (prove(theory, goal) is not None) == (goal in full)
+        assert len(solvers) == 1
+
+    def test_extra_atoms_are_refuted_without_a_new_solve(self, solvers):
+        theory = parse("r1: a => p. r2: => ~p.")
+        c = conclusions(theory, extra_atoms=["zz", Atom("q", ("c",)), "a", "p"])
+        for q in (lit("zz"), lit("zz", False), lit("q", True, ("c",)), lit("q", False, ("c",))):
+            assert c.has(Tag.MINUS_DELTA, q) and c.has(Tag.MINUS_PARTIAL, q)
+            assert not c.has(Tag.PLUS_DELTA, q) and not c.has(Tag.PLUS_PARTIAL, q)
+        assert c.restrict(theory.atoms) == conclusions(theory)
+        assert c.has(Tag.PLUS_PARTIAL, NOT_P)
+        assert len(solvers) == 1
+
+    def test_an_interrupted_solve_is_not_kept(self, monkeypatch, solvers):
+        source = "f. r1: f -> a. r2: a => p. r3: => ~p. r2 > r3."
+        theory, expected = parse(source), conclusions(parse(source))
+        run = _Solver.run
+
+        class Log(list):  # cuts the run short, as a KeyboardInterrupt would
+            def append(self, entry):
+                if len(self) == 2:
+                    raise KeyboardInterrupt
+                super().append(entry)
+
+        def interrupted(self):
+            self.log = Log()
+            run(self)
+
+        monkeypatch.setattr(_Solver, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            conclusions(theory)
+        monkeypatch.setattr(_Solver, "run", run)
+        assert conclusions(theory) == expected
+        assert prove(theory, TaggedLiteral(Tag.PLUS_PARTIAL, P)) is not None
+        assert len(solvers) == 3  # `expected`, the interrupted run, and one kept
 
 
 class TestReplay:

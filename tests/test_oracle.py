@@ -73,6 +73,21 @@ def test_general_pool_matches_oracle(general_pool):
     assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(general_pool)])
 
 
+def test_general_pool_with_extra_atoms_matches_oracle(general_pool):
+    # The solver compiles no extra atom: one the theory lacks gets its
+    # refutations after the run, and one only an antecedent mentions is
+    # already among the theory's atoms.
+    sample = []
+    for seed in random.Random("extra atoms").sample(range(len(general_pool)), 150):
+        theory = general_pool[seed]
+        only_in_bodies = {a.atom for r in theory.rules for a in r.antecedent}.difference(
+            {r.head.atom for r in theory.rules}, {f.atom for f in theory.facts})
+        if only_in_bodies:
+            sample.append((seed, theory, ("zz", min(only_in_bodies, key=str))))
+    assert len(sample) >= 50
+    assert_engine_matches_oracle(sample)
+
+
 def test_normalized_pool_matches_oracle(normalized_pool):
     assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(normalized_pool)])
 
