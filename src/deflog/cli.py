@@ -118,7 +118,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .analysis import classify, pair_table
+    from .analysis import classify_pair
 
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     named = _atoms(args.atom, "--atom", args.allow_generated)
@@ -128,11 +128,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     extra = _atoms(args.atoms, "--atoms", args.allow_generated)
     if atom not in theory.atoms and atom not in extra:
         raise DeflogError(f"unknown atom: {atom}")
-    result = conclusions(theory, Mode.FULL, extra_atoms=extra)
-    positive = classify(result, Literal(atom, True))
-    negative = classify(result, Literal(atom, False))
-    status = pair_table(positive, negative)
-    print(f"{atom}: {positive.value} ~{atom}: {negative.value} pair: {status.value}")
+    verdict = classify_pair(conclusions(theory, Mode.FULL, extra_atoms=extra), Literal(atom))
+    print(f"{atom}: {verdict.outcome_p.value} ~{atom}: {verdict.outcome_not_p.value}"
+          f" pair: {verdict.status.value}")
     return EXIT_OK
 
 
@@ -219,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (DeflogError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
+    except (DeflogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -21,19 +21,16 @@ conditions coincide with the simplified ones (every rule supports, no
 attack can be countered).
 
 The solver follows the counter-driven, linear-time scheme of Maher,
-"Propositional Defeasible Logic has Linear Complexity" (TPLP 1(6), 2001).
-A ground theory is compiled once into integer tables: atoms are interned, a
-literal is ``2 * atom + negated`` (so its complement is ``q ^ 1``) and rules
-get dense ids.  Counters decide all four conditions.  Per rule they track
-the antecedents not yet proved, whether one is refuted, the superior rules
-not yet blocked and whether one of them fired.  Per literal they count, over
-the rules with that head, the supporting rules that fired and those not yet
-blocked, the rules neither blocked nor overridden, and the rules that fired
-with every superior rule blocked.  Deriving a tagged literal updates the
-counters of the rules that use it, and a conclusion is queued only when one
-of its inputs crosses its threshold, then checked in constant time, so the
-fixpoint runs in time linear in the size of the theory.  One evaluator
-serves both modes.
+"Propositional Defeasible Logic has Linear Complexity" (TPLP 1(6), 2001): a
+ground theory is compiled once into integer tables, and counters decide all
+four conditions, each checked in constant time once one of its inputs
+crosses a threshold (see `_Solver`).  One evaluator serves both modes.
+
+Outside the counters the conditions are written out once more, in
+`_witness`, over whatever literals and rules its caller keeps: `replay`
+checks each line of a derivation with it on the theory's own objects, and
+`prove` uses it on the solver's tables to pick every line's premises among
+the lines the fixpoint logged before it.
 
 The candidate universe contains both polarities of every atom occurring in
 the theory, so refutations of literals whose polarity is never mentioned are
@@ -49,8 +46,8 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import compress, groupby
-from operator import itemgetter
-from typing import Iterable
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .core import (
     Atom,
@@ -69,6 +66,11 @@ from .core import (
 class Mode(Enum):
     FULL = "full"
     REDUCED = "reduced"
+
+
+# Tag codes, in the order of the four sets; a solver entry is `literal << 2 | code`.
+_PD, _MD, _PP, _MP = range(4)
+_TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
 
 class ConclusionSet(_Value):
@@ -100,12 +102,8 @@ class ConclusionSet(_Value):
         return tagged.literal in self._set(tagged.tag)
 
     def _set(self, tag: Tag) -> frozenset[Literal]:
-        return {
-            Tag.PLUS_DELTA: self.plus_delta,
-            Tag.MINUS_DELTA: self.minus_delta,
-            Tag.PLUS_PARTIAL: self.plus_partial,
-            Tag.MINUS_PARTIAL: self.minus_partial,
-        }[tag]
+        return (self.plus_delta, self.minus_delta,
+                self.plus_partial, self.minus_partial)[_TAGS.index(tag)]
 
     def validate(self) -> None:
         """Check the five structural relations; raise AssertionError if broken."""
@@ -118,19 +116,13 @@ class ConclusionSet(_Value):
     def restrict(self, atoms: Iterable[Atom | str]) -> ConclusionSet:
         """Keep only literals over the given atoms."""
         keep = {str(a) for a in atoms}
-
-        def flt(s: frozenset[Literal]) -> frozenset[Literal]:
-            return frozenset(l for l in s if str(l.atom) in keep)
-
-        return ConclusionSet(
-            flt(self.plus_delta), flt(self.minus_delta),
-            flt(self.plus_partial), flt(self.minus_partial),
-        )
+        return ConclusionSet(*(frozenset(l for l in self._set(tag) if str(l.atom) in keep)
+                               for tag in _TAGS))
 
     def lines(self) -> list[str]:
         """The serialized listing: one `<tag> <literal>` per line, sorted."""
         out: list[str] = []
-        for tag in (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL):
+        for tag in _TAGS:
             prefix = f"{tag.value} "
             out.extend(prefix + lit for lit in sorted(map(str, self._set(tag))))
         return out
@@ -172,34 +164,6 @@ class Derivation(_Value):
             + "]"
             for i, line in enumerate(self.lines)
         )
-
-
-class _Index:
-    """Rules by head literal, as :func:`replay` consults them."""
-
-    def __init__(self, theory: Theory):
-        self.theory = theory
-        self.facts = frozenset(theory.facts)
-        self.strict: dict[Literal, list[Rule]] = {}
-        self.supporters: dict[Literal, list[Rule]] = {}  # strict + defeasible
-        self.all_rules: dict[Literal, list[Rule]] = {}
-        for rule in theory.rules:
-            self.all_rules.setdefault(rule.head, []).append(rule)
-            if rule.kind == RuleKind.STRICT:
-                self.strict.setdefault(rule.head, []).append(rule)
-            if rule.kind != RuleKind.DEFEATER:
-                self.supporters.setdefault(rule.head, []).append(rule)
-
-    def strict_for(self, q: Literal) -> list[Rule]:
-        return self.strict.get(q, [])
-
-    def supporters_for(self, q: Literal) -> list[Rule]:
-        return self.supporters.get(q, [])
-
-
-# Tag codes of the solver; a queued or logged entry is `literal << 2 | code`.
-_PD, _MD, _PP, _MP = range(4)
-_TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
 
 def _group(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -260,8 +224,9 @@ class _Solver:
     derived), so at most four times, and each check when it is popped is
     O(1).  Every counter moves at most once per antecedent of a rule or per
     superiority pair, so the run is linear in the size of the theory.
-    Every derivation is logged in order, which is all :func:`prove` needs
-    to rebuild supports; the position map `seq` is built on its first call.
+    Every derivation is logged in order; :func:`prove` explains a logged
+    entry from the entries before it, through the position map `seq` built
+    on its first call.
     """
 
     def __init__(self, theory: Theory):
@@ -284,7 +249,7 @@ class _Solver:
 
         facts = list(map(lit, theory.facts))
         rules = theory.rules
-        self.labels = [r.label for r in rules]
+        labels = [r.label for r in rules]
         self.head = head = [lit(r.head) for r in rules]
         # Antecedents are sets, iterated in an order that follows the
         # process's string hashes, so the atoms only they mention are
@@ -306,17 +271,14 @@ class _Solver:
         superiors: dict[str, set[str]] = {}
         for sup, inf in theory.superiority:
             superiors.setdefault(inf, set()).add(sup)
-        self.counter: list[tuple[int, ...]] = [()] * len(rules)
-        for r, label in enumerate(self.labels):
-            if label in superiors:
-                self.counter[r] = tuple(t for t in self.supporters_for(head[r] ^ 1)
-                                        if self.labels[t] in superiors[label])
-        self.overrides = _group(len(rules), ((t, s) for s, ts in enumerate(self.counter)
-                                             for t in ts))
+        counterattacks = [(t, s) for s, label in enumerate(labels) if label in superiors
+                          for t in self.rules_for[head[s] ^ 1]
+                          if supports[t] and labels[t] in superiors[label]]
+        self.overrides = _group(len(rules), counterattacks)
 
         self.fire = fire = [len(b) for b in self.body]
         self.blocked = bytearray(len(rules))
-        self.sup_open = list(map(len, self.counter))
+        self.sup_open = _tally(len(rules), map(itemgetter(1), counterattacks))
         self.countered = bytearray(len(rules))
         for t, k in enumerate(fire):
             if not k:
@@ -347,12 +309,6 @@ class _Solver:
         if literal is None:
             literal = self.literals[q] = Literal(self.atoms[q >> 1], not q & 1)
         return literal
-
-    def strict_for(self, q: int) -> list[int]:
-        return [r for r in self.rules_for[q] if self.strict[r]]
-
-    def supporters_for(self, q: int) -> list[int]:
-        return [r for r in self.rules_for[q] if self.supports[r]]
 
     def run(self) -> None:
         derived, head, supports, uses = self.derived, self.head, self.supports, self.uses
@@ -444,78 +400,6 @@ class _Solver:
                         if not live[h]:
                             push((h ^ 1) << 2 | _PP)
 
-    def support(self, x: int) -> tuple[str, list[int], list[int]]:
-        """Why logged entry `x` holds, from entries logged before it only:
-        the clause, the rules consulted and the premise entries."""
-        seq = self.seq
-        before = seq[x]
-        code, q = x & 3, x >> 2
-        nq = q ^ 1
-
-        def earlier(entry: int) -> bool:
-            return seq.get(entry, before) < before
-
-        def body(r: int, code: int) -> list[int]:
-            # In literal order: the premises picked are the same in every process.
-            return [a << 2 | code for a in sorted(self.body[r])]
-
-        def applicable(r: int, code: int) -> list[int] | None:
-            premises = body(r, code)
-            return premises if all(map(earlier, premises)) else None
-
-        def blocker(r: int, code: int) -> int | None:
-            return next(filter(earlier, body(r, code)), None)
-
-        def first_applicable(rules: Iterable[int], code: int) -> tuple[int, list[int]]:
-            for r in rules:
-                premises = applicable(r, code)
-                if premises is not None:
-                    return r, premises
-            raise AssertionError(f"no applicable rule for logged entry {x}")
-
-        if code == _PD:
-            if self.fact[q]:
-                return "fact", [], []
-            r, premises = first_applicable(self.strict_for(q), _PD)
-            return "strict rule fires", [r], premises
-        if code == _MD:
-            rules = self.strict_for(q)
-            return ("not a fact, every strict rule blocked",
-                    rules, [blocker(r, _MD) for r in rules])
-        if code == _PP:
-            if earlier(q << 2 | _PD):
-                return "already definite", [], [q << 2 | _PD]
-            r, premises = first_applicable(self.supporters_for(q), _PP)
-            rules = [r]
-            premises.append(nq << 2 | _MD)
-            for s in self.rules_for[nq]:
-                w = blocker(s, _MP)
-                if w is not None:
-                    rules.append(s)
-                    premises.append(w)
-                else:
-                    t, applied = first_applicable(self.counter[s], _PP)
-                    rules.append(t)
-                    premises.extend(applied)
-            return ("supported, complement not definite, every attack "
-                    "blocked or counterattacked by a superior rule", rules, premises)
-        base = [q << 2 | _MD]
-        supporters = self.supporters_for(q)
-        witnesses = [blocker(r, _MP) for r in supporters]
-        if None not in witnesses:
-            return "every supporting rule blocked", supporters, base + witnesses
-        if earlier(nq << 2 | _PD):
-            return "complement definitely provable", [], base + [nq << 2 | _PD]
-        for s in self.rules_for[nq]:
-            applied = applicable(s, _PP)
-            if applied is None:
-                continue
-            counters = [blocker(t, _MP) for t in self.counter[s]]
-            if None not in counters:
-                return ("applicable attacker no superior rule overrides",
-                        [s, *self.counter[s]], base + applied + counters)
-        raise AssertionError(f"no support for logged entry {x}")
-
 
 def _check_preconditions(theory: Theory, mode: Mode) -> None:
     if not theory.is_ground:
@@ -599,21 +483,40 @@ def prove(
     seq = solver.seq
     if target not in seq:
         return None
-    supports: dict[int, tuple[str, list[int], list[int]]] = {}
+
+    # Each line is explained, on the solver's tables, by the lines logged
+    # before it; bodies in literal order pick the same premises in every process.
+    before = 0
+
+    def logged(tag: Tag, q: int) -> int | None:
+        x = q << 2 | _TAGS.index(tag)
+        return x if seq.get(x, before) < before else None
+
+    def body(r: int) -> list[int]:
+        return sorted(solver.body[r])
+
+    rules = theory.rules
+    index = _Index(solver.fact.__getitem__, solver.rules_for.__getitem__,
+                   (1).__xor__,  # the complement of literal q is q ^ 1
+                   solver.strict.__getitem__, solver.supports.__getitem__,
+                   lambda t, s: (rules[t].label, rules[s].label) in theory.superiority,
+                   body, logged)
+    lines: dict[int, tuple[str, list[int], list[int]]] = {}
     stack = [target]
     while stack:
         x = stack.pop()
-        if x not in supports:
-            supports[x] = solver.support(x)
-            stack.extend(supports[x][2])
-
-    order = sorted(supports, key=seq.__getitem__)
+        if x not in lines:
+            before = seq[x]
+            witness = _witness(index, _TAGS[x & 3], x >> 2)
+            assert witness is not None, f"no condition holds for logged entry {x}"
+            lines[x] = witness
+            stack += witness[2]
+    order = sorted(lines, key=seq.__getitem__)
     tagged = {x: TaggedLiteral(_TAGS[x & 3], solver.literal(x >> 2)) for x in order}
     return Derivation(tuple(
-        DerivationLine(tagged[x], supports[x][0],
-                       tuple(dict.fromkeys(solver.labels[r] for r in supports[x][1])),
-                       tuple(map(tagged.__getitem__, dict.fromkeys(supports[x][2]))))
-        for x in order
+        DerivationLine(tagged[x], clause, tuple(dict.fromkeys(rules[r].label for r in used)),
+                       tuple(map(tagged.__getitem__, dict.fromkeys(premises))))
+        for x, (clause, used, premises) in zip(order, map(lines.__getitem__, order))
     ))
 
 
@@ -622,80 +525,125 @@ def replay(theory: Theory, derivation: Derivation, mode: Mode = Mode.FULL) -> bo
 
     True iff every line's inference condition holds given only the lines
     before it.  The recorded clause and rule annotations are informative;
-    validity is judged against the conditions themselves.
+    validity is judged against the conditions themselves.  Raises
+    :class:`PreconditionError` as :func:`prove` does.
     """
-    index = _Index(theory)
-    have: set[TaggedLiteral] = set()
-    for line in derivation.lines:
-        if not _line_holds(index, line.conclusion, have, mode):
+    _check_preconditions(theory, mode)
+    have: dict[Tag, set[Literal]] = {tag: set() for tag in _TAGS}
+    index = _Index.of(theory, lambda tag, q: (tag, q) if q in have[tag] else None)
+    for tagged in (line.conclusion for line in derivation.lines):
+        if _witness(index, tagged.tag, tagged.literal) is None:
             return False
-        have.add(line.conclusion)
+        have[tagged.tag].add(tagged.literal)
     return True
 
 
-def _line_holds(
-    index: _Index, tagged: TaggedLiteral, have: set[TaggedLiteral], mode: Mode
-) -> bool:
-    q = tagged.literal
-    nq = q.complement()
+class _Index(NamedTuple):
+    """What :func:`_witness` reads: a ground theory, whose literals and rules
+    are its own objects for :func:`replay` and the solver's ids for
+    :func:`prove`, and the lines so far.  `line(tag, q)` is the earlier line
+    `tag q`, in the caller's form, or None; `body(rule)` lists an antecedent
+    in the order premises are picked in."""
 
-    def holds(tag: Tag, lit: Literal) -> bool:
-        return TaggedLiteral(tag, lit) in have
+    fact: Callable[[Any], object]
+    rules: Callable[[Any], Sequence]  # with that head, in theory order
+    complement: Callable[[Any], Any]
+    strict: Callable[[Any], object]
+    supports: Callable[[Any], object]  # not a defeater
+    superior: Callable[[Any, Any], object]
+    body: Callable[[Any], Iterable]
+    line: Callable[[Tag, Any], Hashable | None]
 
-    def applicable(r: Rule, tag: Tag) -> bool:
-        return all(holds(tag, a) for a in r.antecedent)
+    @classmethod
+    def of(cls, theory: Theory, line: Callable[[Tag, Literal], Hashable | None]) -> _Index:
+        """The index of `theory`'s own objects, with lines kept by `line`."""
+        by_head: dict[Literal, list[Rule]] = {}
+        for rule in theory.rules:
+            by_head.setdefault(rule.head, []).append(rule)
+        return cls(frozenset(theory.facts).__contains__, lambda q: by_head.get(q, ()),
+                   Literal.complement, lambda r: r.kind is RuleKind.STRICT,
+                   lambda r: r.kind is not RuleKind.DEFEATER,
+                   lambda t, s: (t.label, s.label) in theory.superiority,
+                   attrgetter("antecedent"), line)
 
-    def discarded(r: Rule, tag: Tag) -> bool:
-        return any(holds(tag, a) for a in r.antecedent)
 
-    if tagged.tag == Tag.PLUS_DELTA:
-        return q in index.facts or any(
-            applicable(r, Tag.PLUS_DELTA) for r in index.strict_for(q)
-        )
-    if tagged.tag == Tag.MINUS_DELTA:
-        return q not in index.facts and all(
-            discarded(r, Tag.MINUS_DELTA) for r in index.strict_for(q)
-        )
+def _witness(index: _Index, tag: Tag, q: Any) -> tuple[str, list, list] | None:
+    """The inference condition of `tag q`, transcribed from the paper: the
+    branch that holds, the rules it consulted and the earlier lines it rests
+    on, or None if no branch holds.  These are the general conditions;
+    reduced mode is a precondition on the theory, which the callers check.
+    """
+    rules, line = index.rules(q), index.line
+    if tag is Tag.PLUS_DELTA or tag is Tag.MINUS_DELTA:
+        if index.fact(q):
+            return ("fact", [], []) if tag is Tag.PLUS_DELTA else None
+        strict = list(filter(index.strict, rules))
+        if tag is Tag.PLUS_DELTA:
+            found, clause = _fired(index, strict, tag), "strict rule fires"
+        else:
+            found, clause = _blocked(index, strict, tag), "not a fact, every strict rule blocked"
+        return None if found is None else (clause, *found)
 
-    sup = index.theory.superiority
-    if tagged.tag == Tag.PLUS_PARTIAL:
-        if holds(Tag.PLUS_DELTA, q):
-            return True
-        supporters = (index.supporters_for(q) if mode == Mode.FULL
-                      else index.all_rules.get(q, []))
-        if not any(applicable(r, Tag.PLUS_PARTIAL) for r in supporters):
-            return False
-        if not holds(Tag.MINUS_DELTA, nq):
-            return False
-        for s in index.all_rules.get(nq, ()):
-            if discarded(s, Tag.MINUS_PARTIAL):
-                continue
-            if mode == Mode.REDUCED:
-                return False
-            if not any(
-                applicable(t, Tag.PLUS_PARTIAL) and (t.label, s.label) in sup
-                for t in index.supporters_for(q)
-            ):
-                return False
-        return True
+    nq = index.complement(q)
+    supporters = list(filter(index.supports, rules))
 
-    # minus partial
-    if not holds(Tag.MINUS_DELTA, q):
-        return False
-    supporters = (index.supporters_for(q) if mode == Mode.FULL
-                  else index.all_rules.get(q, []))
-    if all(discarded(r, Tag.MINUS_PARTIAL) for r in supporters):
-        return True
-    if holds(Tag.PLUS_DELTA, nq):
-        return True
-    for s in index.all_rules.get(nq, ()):
-        if not applicable(s, Tag.PLUS_PARTIAL):
-            continue
-        if mode == Mode.REDUCED:
-            return True
-        if all(
-            discarded(t, Tag.MINUS_PARTIAL) or (t.label, s.label) not in sup
-            for t in index.supporters_for(q)
-        ):
-            return True
-    return False
+    def counterattackers(s: Any) -> list:
+        return [t for t in supporters if index.superior(t, s)]
+
+    if tag is Tag.PLUS_PARTIAL:
+        definite = line(Tag.PLUS_DELTA, q)
+        if definite is not None:
+            return "already definite", [], [definite]
+        found, refuted = _fired(index, supporters, tag), line(Tag.MINUS_DELTA, nq)
+        if found is None or refuted is None:
+            return None
+        used, premises = found[0], [*found[1], refuted]
+        for s in index.rules(nq):
+            answer = (_blocked(index, [s], Tag.MINUS_PARTIAL)
+                      or _fired(index, counterattackers(s), tag))
+            if answer is None:
+                return None
+            used += answer[0]
+            premises += answer[1]
+        return ("supported, complement not definite, every attack "
+                "blocked or counterattacked by a superior rule", used, premises)
+
+    refuted = line(Tag.MINUS_DELTA, q)
+    if refuted is None:
+        return None
+    found = _blocked(index, supporters, tag)
+    if found is not None:
+        return "every supporting rule blocked", found[0], [refuted, *found[1]]
+    definite = line(Tag.PLUS_DELTA, nq)
+    if definite is not None:
+        return "complement definitely provable", [], [refuted, definite]
+    for s in index.rules(nq):
+        attack = _fired(index, [s], Tag.PLUS_PARTIAL)
+        countered = attack and _blocked(index, counterattackers(s), tag)
+        if countered:
+            return ("applicable attacker no superior rule overrides",
+                    attack[0] + countered[0], [refuted, *attack[1], *countered[1]])
+    return None
+
+
+def _fired(index: _Index, rules: Iterable, tag: Tag) -> tuple[list, list] | None:
+    """The first of `rules` with every antecedent a `tag` line, and those lines."""
+    for r in rules:
+        lines = [index.line(tag, a) for a in index.body(r)]
+        if None not in lines:
+            return [r], lines
+    return None
+
+
+def _blocked(index: _Index, rules: list, tag: Tag) -> tuple[list, list] | None:
+    """`rules`, each with a `tag` line for one of its antecedents, and those lines."""
+    lines = []
+    for r in rules:
+        for a in index.body(r):
+            found = index.line(tag, a)
+            if found is not None:
+                lines.append(found)
+                break
+        else:
+            return None
+    return rules, lines

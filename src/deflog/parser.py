@@ -75,7 +75,10 @@ class ParseError(DeflogError):
 # than the pattern handles, an unterminated group, or a non-ASCII letter in a
 # `$`-segment.  Otherwise it raises.  The pattern never backtracks into a
 # `$`-segment.  Its letters and sign are matched whole, and a segment that
-# is followed by `(` must take the group.
+# is followed by `(` must take the group.  Lexing resumes after such a name
+# with a second pattern, which matches the rest of the text outside the
+# capture: `findall` returns an empty token there instead of a copy of the
+# rest, which would make many such names cost quadratic time.
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _PAREN_GROUP = r"\([^()\n]*(?:\([^()\n]*(?:\([^()\n]*\)[^()\n]*)*\)[^()\n]*)*\)"  # depth <= 3
 _BRACKET_GROUP = r"\[[^\[\]\n]*(?:\[[^\[\]\n]*\][^\[\]\n]*)*\]"  # depth <= 2
@@ -84,13 +87,14 @@ _GENERATED_NAME = rf"(?:{_NAME}|{_DOLLAR_SEGMENT})(?:{_DOLLAR_SEGMENT}|{_BRACKET
 
 
 @functools.cache
-def _lexer(allow_generated: bool) -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """The token and name patterns of a mode, compiled on first use: the
-    generated-name pattern is the costly one, and only reading transformed
-    theories needs it."""
+def _lexer(allow_generated: bool) -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
+    """The token, resuming and name patterns of a mode, compiled on first
+    use: the generated-name pattern is the costly one, and only reading
+    transformed theories needs it."""
     name = _GENERATED_NAME if allow_generated else _NAME
-    token = re.compile(rf"[ \t\r\n]*({name}|[-=~]>|[~,:.>()]|%[^\n]*|\Z|.+)", re.DOTALL)
-    return token, re.compile(name)
+    token = rf"{name}|[-=~]>|[~,:.>()]|%[^\n]*"
+    return (re.compile(rf"[ \t\r\n]*({token}|\Z|.+)", re.DOTALL),
+            re.compile(rf"[ \t\r\n]*(?:({token})|.+)", re.DOTALL), re.compile(name))
 
 
 _BLANKS = frozenset(" \t\r\n")
@@ -115,25 +119,24 @@ def _tokens(text: str, allow_generated: bool) -> list[str]:
     token.  A token's kind follows from its text: `_PUNCT` holds every
     token that is not a name.  Raises on the first character no token can
     start with."""
-    pattern, name = _lexer(allow_generated)
+    pattern, resume, name = _lexer(allow_generated)
+    comments = "%" in text
+    found = pattern.findall(text)
+    if comments:
+        found = [token for token in found if token[:1] != "%"]
+    if len(found) > 1 and not found[-2]:
+        found.pop()  # a second EOF match, after trailing blanks
+    last = found[-2] if len(found) > 1 else ""
+    if last in _PUNCT or name.fullmatch(last):
+        return found
+    # `last` runs from a character no token starts with to the end.
+    start = len(text) - len(last)
+    del found[-2:]
     tokens: list[str] = []
-    pos = 0
+    stop = len(text.rstrip(" \t\r\n"))  # trailing blanks would fail to match
     while True:
-        found = pattern.findall(text, pos)
-        if "%" in text:
-            found = [token for token in found if token[:1] != "%"]
-        if len(found) > 1 and not found[-2]:
-            found.pop()  # a second EOF match, after trailing blanks
-        last = found[-2] if len(found) > 1 else ""
-        if last in _PUNCT or name.fullmatch(last):
-            tokens += found
-            return tokens
-        # `last` runs from a character no token starts with to the end.
-        start = len(text) - len(last)
-        del found[-2:]
-        end = start
+        head = end = start
         if allow_generated:
-            head = start
             if found and found[-1] not in _PUNCT and text[start - 1] not in _BLANKS:
                 head -= len(found.pop())  # the name the pattern stopped short in
             if head < start or text[start] == "$":
@@ -143,13 +146,21 @@ def _tokens(text: str, allow_generated: bool) -> list[str]:
                 text[start], f"unexpected character {text[start]!r}"))
         tokens += found
         tokens.append(text[head:end])
-        pos = end
+        found = resume.findall(text, end, stop)
+        if comments:
+            found = [token for token in found if token[:1] != "%"]
+        if not found or found[-1]:
+            return tokens + found + [""]
+        # The empty token stands for a character no token starts with, which
+        # the tokens since the scanned name place: each is re-read once.
+        found.pop()
+        start = _token_start(text, found, len(found), end)
 
 
-def _token_start(text: str, tokens: list[str], index: int) -> int:
-    """Offset of `tokens[index]` in `text`, found by re-scanning."""
+def _token_start(text: str, tokens: list[str], index: int, pos: int = 0) -> int:
+    """Offset of `tokens[index]` in `text`, found by re-scanning from `pos`,
+    where `tokens` start."""
     skip = _SKIP.match
-    pos = 0
     for token in tokens[:index]:
         pos = skip(text, pos).end() + len(token)
     return skip(text, pos).end()

@@ -14,6 +14,7 @@ from deflog import (
     PreconditionError,
     Tag,
     TaggedLiteral,
+    Theory,
     conclusions,
     elim_sup,
     equivalent,
@@ -27,6 +28,8 @@ from deflog.analysis import classify_pair, gen_theory
 from deflog.core import inf_minus_atom, primed_atom
 from deflog.engine import _Solver
 
+from conftest import GOLDEN
+
 
 def lit(name: str, positive: bool = True, args: tuple = ()) -> Literal:
     return Literal(Atom(name, args), positive)
@@ -34,6 +37,25 @@ def lit(name: str, positive: bool = True, args: tuple = ()) -> Literal:
 
 P = lit("p")
 NOT_P = lit("p", False)
+
+
+def derivation_listing(name: str, theory: Theory) -> str:
+    """`str()` of the derivation of every provable goal, under a `%` header,
+    with each line's premises as line numbers (`3<-1,2`)."""
+    out = []
+    for atom in sorted(theory.atoms, key=str):
+        for literal in (Literal(atom), Literal(atom, False)):
+            for tag in Tag:
+                goal = TaggedLiteral(tag, literal)
+                derivation = prove(theory, goal)
+                if derivation is None:
+                    continue
+                number = {line.conclusion: i for i, line in enumerate(derivation.lines, 1)}
+                premises = "".join(
+                    f" {i}<-{','.join(str(number[p]) for p in line.premises)}"
+                    for i, line in enumerate(derivation.lines, 1) if line.premises)
+                out.append(f"% {name}: {goal}\n{derivation}\n% premises{premises}\n")
+    return "\n".join(out)
 
 
 class TestConclusions:
@@ -170,6 +192,17 @@ class TestProve:
                     assert replay(example3, d)
                     assert d.conclusion == goal
 
+    def test_derivations_match_golden(self, example3, example1_ground):
+        # Every provable goal: the lines, their order, clauses, rules and
+        # premises.  The generated theory has an attack that is both blocked
+        # and countered, and antecedents whose order picks the premises.
+        seeded = gen_theory(49, num_atoms=6, num_rules=10, num_facts=2, defeater_fraction=0.2,
+                            strict_fraction=0.3, sup_density=0.08)
+        produced = "\n".join([derivation_listing("example3", example3),
+                               derivation_listing("example1, grounded", example1_ground),
+                               derivation_listing("gen_theory seed 49", seeded)])
+        assert produced == (GOLDEN / "derivations.txt").read_text()
+
     def test_derivations_do_not_depend_on_string_hashes(self):
         """Antecedents are sets, iterated in an order that follows the
         process's string hashes; the derivations `prove` returns, premises
@@ -272,6 +305,22 @@ class TestOneSolvePerTheory:
 
 
 class TestReplay:
+    def test_checks_the_mode_preconditions(self):
+        # `+d p` rests only on a defeater, which never supports.  Reduced mode
+        # refuses the theory, as `conclusions` and `prove` do, rather than
+        # read its defeater as a supporting rule.
+        theory = parse("k: ~> p.")
+        refuted = TaggedLiteral(Tag.MINUS_DELTA, NOT_P)
+        claim = Derivation((
+            DerivationLine(refuted, "not a fact, every strict rule blocked", (), ()),
+            DerivationLine(TaggedLiteral(Tag.PLUS_PARTIAL, P), "supported", ("k",), (refuted,)),
+        ))
+        assert not replay(theory, claim)
+        with pytest.raises(PreconditionError, match="reduced mode precondition"):
+            replay(theory, claim, Mode.REDUCED)
+        with pytest.raises(PreconditionError, match="theory is not ground"):
+            replay(parse("r: q(X) => p(X)."), Derivation(()))
+
     def test_rejects_unsupported_refutation(self):
         bogus = Derivation((
             DerivationLine(TaggedLiteral(Tag.MINUS_DELTA, P), "claim", (), ()),

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,22 @@ class TestPrint:
         (rule,) = parse("r[a[b[c]]]: => $p($p($p($p(a)))).", allow_generated=True).rules
         assert rule.label == "r[a[b[c]]]"
         assert rule.head.atom.name == "$p($p($p($p(a))))"
+
+    def test_names_too_deep_for_the_pattern_lex_in_linear_time(self):
+        # Depth 4 goes to the character scanner, once per name; the text
+        # after each such name must not be copied or lexed again.
+        def source(depth: int) -> str:
+            return "".join(f"r{i}: => {'$p(' * depth}a{i}{')' * depth}.\n"
+                           for i in range(16_000))
+
+        def seconds(text: str) -> float:
+            start = time.perf_counter()
+            parse(text, allow_generated=True)
+            return time.perf_counter() - start
+
+        shallow, deep = source(3), source(4)
+        runs = [(seconds(shallow), seconds(deep)) for _ in range(3)]
+        assert min(d for _, d in runs) <= 5 * min(s for s, _ in runs)
 
 
 @settings(max_examples=60, deadline=None)
