@@ -341,42 +341,22 @@ def check_well_formed(theory: Theory) -> WellFormedReport:
     Acyclicity means the transitive closure of the relation is irreflexive,
     i.e. the label graph has no directed cycle.
     """
+    from graphlib import CycleError, TopologicalSorter  # not loaded by `deflog conclusions`
+
     graph: dict[str, list[str]] = {}
     for sup, inf in theory.superiority:
         graph.setdefault(sup, []).append(inf)
-    acyclic = not _has_cycle(graph)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:  # a self-pair is a cycle too
+        acyclic = False
+    else:
+        acyclic = True
     heads = ((theory.rule_map[sup].head, theory.rule_map[inf].head)
              for sup, inf in theory.superiority)
     # Opposite signs on one atom: no complement literal is built and hashed.
     complementary = all(a.positive != b.positive and a.atom == b.atom for a, b in heads)
     return WellFormedReport(acyclic=acyclic, complementary=complementary)
-
-
-def _has_cycle(graph: dict[str, list[str]]) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in graph}
-    for start in graph:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(start, iter(graph[start]))]
-        color[start] = GREY
-        while stack:
-            node, edges = stack[-1]
-            advanced = False
-            for nxt in edges:
-                if nxt not in graph:
-                    continue  # no outgoing edges, cannot lie on a cycle
-                if color[nxt] == GREY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(graph[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
 
 
 class NormalFormReport(_Value):

@@ -22,9 +22,10 @@ attack can be countered).
 
 The solver follows the counter-driven, linear-time scheme of Maher,
 "Propositional Defeasible Logic has Linear Complexity" (TPLP 1(6), 2001): a
-ground theory is compiled once into integer tables, and counters decide all
-four conditions, each checked in constant time once one of its inputs
-crosses a threshold (see `_Solver`).  One evaluator serves both modes.
+ground theory is compiled once into integer tables, with every literal
+numbered once (`_Solver`), and counters decide all four conditions, each
+checked in constant time once one of its inputs crosses a threshold (see
+`_Solver.run`, whose locals they are).  One evaluator serves both modes.
 
 Outside the counters the conditions are written out once more, in
 `_witness`, over whatever literals and rules its caller keeps: `replay`
@@ -35,8 +36,9 @@ the lines the fixpoint logged before it.
 The candidate universe contains both polarities of every atom occurring in
 the theory, so refutations of literals whose polarity is never mentioned are
 still derived.  A theory is compiled and solved once, on its first engine
-call, and the solver is kept on the `Theory` object for every later
-`conclusions` (either mode, any extra atoms) and `prove` call.  Extra atoms
+call, and the solver, which keeps only its tables, the conclusions and
+their log, is kept on the `Theory` object for every later `conclusions`
+(either mode, any extra atoms) and `prove` call.  Extra atoms
 are not compiled: one the theory does not mention has no fact and no rule,
 so `conclusions` adds `-D` and `-d` of both its literals to the result.
 """
@@ -45,8 +47,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import compress, groupby
-from operator import attrgetter, itemgetter
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -167,14 +169,19 @@ class Derivation(_Value):
 
 
 def _group(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Group ids by key: entry k is the tuple of ids paired with k.
+    """Group ids by key: entry k is the tuple of ids paired with k, in the
+    order given, which every caller makes ascending.
 
     Tuples of ints drop out of the cyclic garbage collector's view, where
-    one list per key would make every full collection rescan them.
+    one list per key would make every full collection rescan them.  Lists
+    are built while grouping only for the keys that occur.
     """
+    groups: dict[int, list[int]] = {}
+    for k, v in pairs:
+        groups.setdefault(k, []).append(v)
     out: list[tuple[int, ...]] = [()] * n
-    for k, group in groupby(sorted(pairs), itemgetter(0)):
-        out[k] = tuple(map(itemgetter(1), group))
+    for k, group in groups.items():
+        out[k] = tuple(group)
     return out
 
 
@@ -189,113 +196,71 @@ def _tally(n: int, keys: Iterable[int]) -> list[int]:
 class _Solver:
     """Counter-driven worklist fixpoint over integer tables.
 
-    Compilation interns atoms (literal ``q`` is ``2 * atom + negated``),
-    those of facts and heads in theory order and then those only antecedents
-    mention by (name, args), so the log is the same in every process; rules
-    keep their theory order.  Per literal there are the rules with that head
-    and the rules with it in their antecedent; per rule, its head, its
-    antecedent, whether it is strict and whether it supports (is not a
-    defeater), and its counterattackers: the supporting rules for the
-    complement of its head declared superior to it, the only rules that can
-    override it.  `overrides[t]` lists the rules `t` counterattacks.
+    Compilation numbers every literal once, in two tables that invert each
+    other: `ids` maps a literal to its number ``q`` and `literals` maps ``q``
+    back.  An atom's literals are ``2 * i`` (positive) and ``2 * i + 1``, so
+    the complement of ``q`` is ``q ^ 1``, and both are numbered when either
+    is first met: atoms of facts and heads in theory order, then those only
+    antecedents mention by (name, args), so the log is the same in every
+    process.  Rules keep their theory order.  Per literal there are `fact`,
+    the rules with that head (`rules_for`) and the rules with it in their
+    antecedent (`uses`); per rule, its `head`, its `body`, whether it is
+    `strict` and whether it `supports` (is not a defeater), and
+    `overrides[t]`, the rules `t` counterattacks: those with the complement
+    of its head that it is declared superior to, when `t` supports.
 
-    Per rule the fixpoint keeps `fire`, the antecedents not yet in `+d`,
-    and `blocked`, set once one is in `-d`; `sup_open`, its counterattackers
-    not yet blocked, and `countered`, set once one of them fires; and
-    `delta_fire` and `delta_blocked` against `+D`/`-D`, which start so that
-    a rule that is not strict never fires and is always blocked at the
-    definite level.  Per literal `q` it keeps, over the rules with head `q`:
-
-    * `delta_open`: the strict rules not yet blocked, plus one if `q` is a
-      fact;
-    * `can_support`: the supporting rules that fired;
-    * `open_support`: the supporting rules not yet blocked;
-    * `live`: the rules neither blocked nor countered;
-    * `winning`: the rules that fired with every counterattacker blocked.
-
-    The conditions read these counters.  `+D q` holds once a strict rule for
-    `q` fires and `-D q` once `delta_open[q]` is 0.  `+d q` holds iff `+D q`,
-    or `can_support[q] > 0`, `-D ~q` and `live[~q] == 0`.  `-d q` holds iff
-    `-D q` and one of `open_support[q] == 0`, `+D ~q` or `winning[~q] > 0`.
-    Deriving a tagged literal updates the counters through the antecedent
-    index, and through `overrides` when a supporting rule fires or is
-    blocked.  A conclusion is queued only when one of its inputs crosses its
-    threshold (a counter reaching 0, or 1 from 0, or a tag it reads being
-    derived), so at most four times, and each check when it is popped is
-    O(1).  Every counter moves at most once per antecedent of a rule or per
-    superiority pair, so the run is linear in the size of the theory.
-    Every derivation is logged in order; :func:`prove` explains a logged
-    entry from the entries before it, through the position map `seq` built
-    on its first call.
+    Only these tables, the four `derived` sets and the `log` outlive
+    :meth:`run`, which keeps its counters in locals.  Every derivation is
+    logged in order; :func:`prove` explains a logged entry from the entries
+    before it, through the position map `seq` built on its first call.
     """
 
     def __init__(self, theory: Theory):
-        self.ids: dict[tuple[str, tuple[str, ...]], int] = {}
-        self.atoms: list[Atom] = []
-        # The theory's own Literal objects, reused for results where present.
-        self.literals: list[Literal | None] = []
-        intern = self.ids.setdefault
-
-        def lit(literal: Literal) -> int:
-            atom = literal.atom
-            i = intern((atom.name, atom.args), len(self.atoms))
-            if i == len(self.atoms):
-                self.atoms.append(atom)
-                self.literals += (None, None)
-            q = 2 * i + (not literal.positive)
-            if self.literals[q] is None:
-                self.literals[q] = literal
-            return q
-
-        facts = list(map(lit, theory.facts))
         rules = theory.rules
-        labels = [r.label for r in rules]
-        self.head = head = [lit(r.head) for r in rules]
+        heads = [r.head for r in rules]
+        # Atom i has the literals 2i (positive) and 2i + 1.  Atoms are
+        # numbered when first met: those of facts and heads in theory order,
+        # then those only antecedents mention.
+        atom_number: dict[Atom, int] = {}
+
+        def numbered(group: Iterable[Literal]) -> dict[int, Literal]:
+            return {2 * atom_number.setdefault(literal.atom, len(atom_number))
+                    + (not literal.positive): literal for literal in group}
+
+        # Each literal stands for itself as the first of its equal objects
+        # met, or as a complement built here if the theory never mentions it.
+        mentioned = dict.fromkeys(chain(theory.facts, heads))
+        by_number = numbered(mentioned)
+        rest = set().union(*(r.antecedent for r in rules)).difference(mentioned)
         # Antecedents are sets, iterated in an order that follows the
         # process's string hashes, so the atoms only they mention are
         # numbered by (name, args); the log then is the same in every process.
-        in_bodies = {(a.atom.name, a.atom.args): a for r in rules for a in r.antecedent}
-        for key in sorted(in_bodies.keys() - self.ids.keys()):
-            lit(in_bodies[key])
-        self.body = [tuple(map(lit, r.antecedent)) for r in rules]
-        n = 2 * len(self.atoms)
-
+        for atom in sorted({literal.atom for literal in rest}.difference(atom_number),
+                           key=lambda atom: (atom.name, atom.args)):
+            atom_number[atom] = len(atom_number)
+        by_number.update(numbered(rest))
+        self.literals = literals = [by_number[q] if q in by_number else by_number[q ^ 1].complement()
+                                    for q in range(2 * len(atom_number))]
+        n = len(literals)
+        self.ids = ids = dict(zip(literals, range(n)))
+        self.head = head = list(map(ids.__getitem__, heads))
+        self.body = [tuple(map(ids.__getitem__, r.antecedent)) for r in rules]
         self.fact = bytearray(n)
-        for q in facts:
+        for q in map(ids.__getitem__, theory.facts):
             self.fact[q] = 1
         self.strict = bytearray(r.kind == RuleKind.STRICT for r in rules)
         self.supports = supports = bytearray(r.kind != RuleKind.DEFEATER for r in rules)
         self.rules_for = _group(n, zip(head, range(len(rules))))
         self.uses = _group(n, ((a, r) for r, body in enumerate(self.body) for a in body))
 
+        labels = [r.label for r in rules]
         superiors: dict[str, set[str]] = {}
         for sup, inf in theory.superiority:
             superiors.setdefault(inf, set()).add(sup)
-        counterattacks = [(t, s) for s, label in enumerate(labels) if label in superiors
-                          for t in self.rules_for[head[s] ^ 1]
-                          if supports[t] and labels[t] in superiors[label]]
-        self.overrides = _group(len(rules), counterattacks)
-
-        self.fire = fire = [len(b) for b in self.body]
-        self.blocked = bytearray(len(rules))
-        self.sup_open = _tally(len(rules), map(itemgetter(1), counterattacks))
-        self.countered = bytearray(len(rules))
-        for t, k in enumerate(fire):
-            if not k:
-                for s in self.overrides[t]:
-                    self.countered[s] = 1
-        self.can_support = _tally(n, (h for h, sup, k in zip(head, supports, fire)
-                                      if sup and not k))
-        self.open_support = _tally(n, compress(head, supports))
-        self.live = _tally(n, (h for h, c in zip(head, self.countered) if not c))
-        self.winning = _tally(n, (h for h, k, o in zip(head, fire, self.sup_open)
-                                  if not k and not o))
-
-        self.delta_fire = [k + (not strict) for k, strict in zip(self.fire, self.strict)]
-        self.delta_blocked = bytearray(not strict for strict in self.strict)
-        self.delta_open = list(self.fact)
-        for h, strict in zip(head, self.strict):
-            self.delta_open[h] += strict
+        self.overrides = _group(len(rules), (
+            (t, s) for s, label in enumerate(labels) if label in superiors
+            for t in self.rules_for[head[s] ^ 1]
+            if supports[t] and labels[t] in superiors[label]))
         self.derived = [bytearray(n) for _ in _TAGS]
         self.log: list[int] = []
 
@@ -304,20 +269,58 @@ class _Solver:
         """Entry -> position in `log`; built on the first :func:`prove`."""
         return {x: i for i, x in enumerate(self.log)}
 
-    def literal(self, q: int) -> Literal:
-        literal = self.literals[q]
-        if literal is None:
-            literal = self.literals[q] = Literal(self.atoms[q >> 1], not q & 1)
-        return literal
-
     def run(self) -> None:
-        derived, head, supports, uses = self.derived, self.head, self.supports, self.uses
-        fire, blocked, sup_open, countered = self.fire, self.blocked, self.sup_open, self.countered
-        overrides, can_support, open_support = self.overrides, self.can_support, self.open_support
-        live, winning = self.live, self.winning
-        delta_fire, delta_blocked, delta_open = self.delta_fire, self.delta_blocked, self.delta_open
+        """Derive every conclusion into `derived`, logging each in order.
+
+        Per rule it counts `fire`, the antecedents not yet in `+d`, and sets
+        `blocked` once one is in `-d`; it counts `sup_open`, the rule's
+        counterattackers not yet blocked, and sets `countered` once one of
+        them fires; and `delta_fire` and `delta_blocked` do the same against
+        `+D`/`-D`, starting so that a rule that is not strict never fires and
+        is always blocked at the definite level.  Per literal `q` it counts,
+        over the rules with head `q`:
+
+        * `delta_open`: the strict rules not yet blocked, plus one if `q` is
+          a fact;
+        * `can_support`: the supporting rules that fired;
+        * `open_support`: the supporting rules not yet blocked;
+        * `live`: the rules neither blocked nor countered;
+        * `winning`: the rules that fired with every counterattacker blocked.
+
+        The conditions read these counters.  `+D q` holds once a strict rule
+        for `q` fires and `-D q` once `delta_open[q]` is 0.  `+d q` holds iff
+        `+D q`, or `can_support[q] > 0`, `-D ~q` and `live[~q] == 0`.  `-d q`
+        holds iff `-D q` and one of `open_support[q] == 0`, `+D ~q` or
+        `winning[~q] > 0`.  Deriving a tagged literal updates the counters
+        through `uses`, and through `overrides` when a supporting rule fires
+        or is blocked.  A conclusion is queued only when one of its inputs
+        crosses its threshold (a counter reaching 0, or 1 from 0, or a tag it
+        reads being derived), so at most four times, and each check when it
+        is popped is O(1).  Every counter moves at most once per antecedent
+        of a rule or per superiority pair, so the run is linear in the size
+        of the theory.
+        """
+        head, supports, uses, overrides = self.head, self.supports, self.uses, self.overrides
+        n, m = len(self.fact), len(head)
+        fire = list(map(len, self.body))
+        blocked = bytearray(m)
+        sup_open = _tally(m, chain.from_iterable(overrides))
+        countered = bytearray(m)
+        for t, k in enumerate(fire):
+            if not k:
+                for s in overrides[t]:
+                    countered[s] = 1
+        can_support = _tally(n, (h for h, sup, k in zip(head, supports, fire) if sup and not k))
+        open_support = _tally(n, compress(head, supports))
+        live = _tally(n, (h for h, c in zip(head, countered) if not c))
+        winning = _tally(n, (h for h, k, o in zip(head, fire, sup_open) if not k and not o))
+        delta_fire = [k + (not strict) for k, strict in zip(fire, self.strict)]
+        delta_blocked = bytearray(not strict for strict in self.strict)
+        delta_open = list(self.fact)
+        for h, strict in zip(head, self.strict):
+            delta_open[h] += strict
+        derived, log = self.derived, self.log
         plus_delta, minus_delta = derived[_PD], derived[_MD]
-        log = self.log
         # `+D`/`-D` entries are queued only once their condition holds;
         # `+d`/`-d` entries whenever an input of theirs crosses its threshold.
         stack = [q << 2 | _MD for q, k in enumerate(delta_open) if not k]
@@ -446,14 +449,12 @@ def conclusions(
     """
     _check_preconditions(theory, mode)
     solver = _solved(theory)
-    literals = list(map(solver.literal, range(len(solver.fact))))
-    found = [frozenset(compress(literals, done)) for done in solver.derived]
+    found = [frozenset(compress(solver.literals, done)) for done in solver.derived]
     # An atom with no fact and no rule has both of its literals refuted at
     # both levels, and nothing else.
-    absent = frozenset(
-        Literal(atom, positive)
-        for atom in (Atom(a) if isinstance(a, str) else a for a in extra_atoms)
-        if (atom.name, atom.args) not in solver.ids for positive in (True, False))
+    extra = (Literal(Atom(a) if isinstance(a, str) else a) for a in extra_atoms)
+    absent = frozenset(chain.from_iterable(
+        (literal, literal.complement()) for literal in extra if literal not in solver.ids))
     if absent:
         found[_MD] |= absent
         found[_MP] |= absent
@@ -475,11 +476,9 @@ def prove(
     """
     _check_preconditions(theory, mode)
     solver = _solved(theory)
-    atom = goal.literal.atom
-    if (atom.name, atom.args) not in solver.ids:
-        raise PreconditionError(f"unknown atom: {atom}")
-    q = 2 * solver.ids[atom.name, atom.args] + (not goal.literal.positive)
-    target = q << 2 | _TAGS.index(goal.tag)
+    if goal.literal not in solver.ids:
+        raise PreconditionError(f"unknown atom: {goal.literal.atom}")
+    target = solver.ids[goal.literal] << 2 | _TAGS.index(goal.tag)
     seq = solver.seq
     if target not in seq:
         return None
@@ -512,7 +511,7 @@ def prove(
             lines[x] = witness
             stack += witness[2]
     order = sorted(lines, key=seq.__getitem__)
-    tagged = {x: TaggedLiteral(_TAGS[x & 3], solver.literal(x >> 2)) for x in order}
+    tagged = {x: TaggedLiteral(_TAGS[x & 3], solver.literals[x >> 2]) for x in order}
     return Derivation(tuple(
         DerivationLine(tagged[x], clause, tuple(dict.fromkeys(rules[r].label for r in used)),
                        tuple(map(tagged.__getitem__, dict.fromkeys(premises))))

@@ -61,7 +61,8 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
 ])
 def test_a_subcommand_imports_only_what_it_calls(argv, loaded):
     code = ("import sys; from deflog.cli import main; main(sys.argv[1:]); "
-            "print([m for m in ('deflog.analysis', 'deflog.transform') if m in sys.modules], "
+            "print([m for m in ('deflog.analysis', 'deflog.transform', 'graphlib') "
+            "if m in sys.modules], "
             "file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)

@@ -1,6 +1,7 @@
 """The package's public names: one export list, resolved lazily."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import deflog
 
-SRC = str(Path(__file__).parent.parent / "src")
+ROOT = Path(__file__).parent.parent
+SRC = str(ROOT / "src")
 
 
 @pytest.mark.parametrize("name", deflog.__all__)
@@ -37,3 +39,13 @@ def test_star_import_binds_exactly_the_export_list():
                             env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "True\n"
+
+
+def test_readme_python_blocks_run_as_written(monkeypatch):
+    """Every ```python block of README.md runs, from the repository root,
+    with only the imports it spells out."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,7 +1,7 @@
 """Deep and wide inputs: 10^5-rule chains through the engine, one literal
-with 10^5 attackers, and a 10^5-pair superiority chain through the
-well-formedness check, built as Theory objects directly so that parsing
-takes no part.
+with 10^5 attackers, and a 10^5-pair superiority chain, open and closed
+into a cycle, through the well-formedness check, built as Theory objects
+directly so that parsing takes no part.
 
 Each would hit Python's recursion limit, or take hours, if a step of the
 solver, of `prove`, or of the cycle check recursed or rescanned the chain,
@@ -85,6 +85,9 @@ def test_long_superiority_chain():
     rules = tuple(Rule(f"s{i}", frozenset(), RuleKind.DEFEASIBLE, heads[i]) for i in range(N))
     pairs = frozenset((f"s{i}", f"s{i + 1}") for i in range(N - 1))
     assert check_well_formed(Theory((), rules, pairs)).ok
+    # One back edge closes the chain into a cycle through every label.
+    closed = check_well_formed(Theory((), rules, pairs | {(f"s{N - 1}", "s0")}))
+    assert not closed.acyclic and closed.complementary
 
 
 def attacked(n: int) -> tuple[Literal, Theory]:
