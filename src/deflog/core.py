@@ -7,9 +7,11 @@ can be defeated by contrary evidence, and defeaters can only block
 conclusions.  Everything in this module is immutable and hashable; theories
 compare structurally, ignoring the storage order of facts and rules.  The
 value types are plain classes on :class:`_Value`: slotted (except
-:class:`Theory`, whose derived views are cached properties), compared and
-hashed by their fields in order, and atoms, literals, rules and tagged
-literals compute their hash once, at construction.
+:class:`Theory`, whose derived views are cached properties) and compared by
+their fields in order.  Atoms and literals are hash-consed: constructing one
+returns the single object for its fields, kept for the life of the process,
+so they compare and hash by identity, in C.  Rules and tagged literals
+compute their hash once, at construction.
 
 Atoms may carry arguments.  Uppercase-initial arguments are variables, which
 makes the enclosing rule a schema; :func:`ground` expands schemas over the
@@ -107,24 +109,34 @@ class _Hashed(_Value):
         return self._hash
 
 
-class Atom(_Hashed):
+class Atom(_Value):
     """A named proposition, optionally applied to arguments.
 
     Arguments are flat identifiers: lowercase-initial ones are constants,
     uppercase-initial ones are variables.  There are no function symbols.
+    There is one atom per ``(name, args)``: equal atoms are the same object.
     """
 
     __slots__ = ("name", "args")
     name: str
     args: tuple[str, ...]
+    # (name, args) -> the atom.  `setdefault` keeps the first of two atoms
+    # built at once by two threads, so no value ever has twins.
+    _shared = {}  # not annotated: annotated names are fields
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, name: str, args: Iterable[str] = ()) -> None:
-        if not name:
-            raise TheoryError("atom name must be nonempty")
+    def __new__(cls, name: str, args: Iterable[str] = ()) -> Atom:
         args = tuple(args)
-        _assign(self, "name", name)
-        _assign(self, "args", args)
-        _assign(self, "_hash", hash((name, args)))
+        atom = cls._shared.get((name, args))
+        if atom is None:
+            if not name:
+                raise TheoryError("atom name must be nonempty")
+            atom = object.__new__(cls)
+            _assign(atom, "name", name)
+            _assign(atom, "args", args)
+            atom = cls._shared.setdefault((name, args), atom)
+        return atom
 
     @property
     def generated(self) -> bool:
@@ -141,17 +153,27 @@ class Atom(_Hashed):
         return self.name
 
 
-class Literal(_Hashed):
-    """A signed atom; the unit of facts, antecedents, heads and conclusions."""
+class Literal(_Value):
+    """A signed atom; the unit of facts, antecedents, heads and conclusions.
+
+    There is one literal per ``(atom, positive)``, shared as atoms are.
+    """
 
     __slots__ = ("atom", "positive")
     atom: Atom
     positive: bool
+    _shared = {}  # (atom, positive) -> the literal, filled as `Atom._shared` is
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, atom: Atom, positive: bool = True) -> None:
-        _assign(self, "atom", atom)
-        _assign(self, "positive", positive)
-        _assign(self, "_hash", hash((atom, positive)))
+    def __new__(cls, atom: Atom, positive: bool = True) -> Literal:
+        literal = cls._shared.get((atom, positive))
+        if literal is None:
+            literal = object.__new__(cls)
+            _assign(literal, "atom", atom)
+            _assign(literal, "positive", positive)
+            literal = cls._shared.setdefault((atom, positive), literal)
+        return literal
 
     def complement(self) -> Literal:
         return Literal(self.atom, not self.positive)
@@ -204,7 +226,8 @@ class Rule(_Hashed):
 
     @property
     def is_ground(self) -> bool:
-        return self.head.is_ground and all(a.is_ground for a in self.antecedent)
+        # A list, as in `Theory.is_ground`.
+        return all([lit.is_ground for lit in (self.head, *self.antecedent)])
 
     def __str__(self) -> str:
         ants = ", ".join(sorted(str(a) for a in self.antecedent))
@@ -284,11 +307,9 @@ class Theory(_Value):
     @cached_property
     def atoms(self) -> frozenset[Atom]:
         """Every atom occurring in a fact, head or antecedent."""
-        out: set[Atom] = {f.atom for f in self.facts}
-        for r in self.rules:
-            out.add(r.head.atom)
-            out.update(a.atom for a in r.antecedent)
-        return frozenset(out)
+        rules = self.rules
+        literals = set(self.facts).union([r.head for r in rules], *[r.antecedent for r in rules])
+        return frozenset(map(attrgetter("atom"), literals))
 
     @property
     def labels(self) -> frozenset[str]:
@@ -304,14 +325,14 @@ class Theory(_Value):
 
     @cached_property
     def is_ground(self) -> bool:
-        literals = itertools.chain(
-            self.facts, itertools.chain.from_iterable((r.head, *r.antecedent) for r in self.rules)
-        )
-        return not any(_is_variable(arg) for lit in literals for arg in lit.atom.args)
+        # A list, not a generator: an early exit would make the work follow
+        # the order of `atoms`, which is by memory address.
+        return not any([_is_variable(arg) for atom in self.atoms for arg in atom.args])
 
     @property
     def has_generated_symbols(self) -> bool:
-        return any(a.generated for a in self.atoms) or any(r.generated for r in self.rules)
+        # A list, as in `is_ground`.
+        return any([a.generated for a in self.atoms]) or any(r.generated for r in self.rules)
 
     def size(self) -> int:
         """Number of knowledge units: facts + rules + superiority pairs."""
@@ -438,14 +459,13 @@ def ground(theory: Theory) -> Theory:
     # Per rule in a superiority pair: its variables and its instances'
     # labels, in the order of `itertools.product` over their values.
     schemas: dict[str, tuple[list[str], list[str]]] = {}
-    literals: dict[tuple[str, tuple[str, ...], bool], Literal] = {}
     rules: list[Rule] = []
     for rule in theory.rules:
         variables = sorted({arg for lit in (rule.head, *rule.antecedent)
                             for arg in lit.atom.args if _is_variable(arg)})
         start = len(rules)
         if variables:
-            rules.extend(_instances(rule, variables, constants, literals))
+            rules.extend(_instances(rule, variables, constants))
         else:
             rules.append(rule)
         if rule.label in ranked:
@@ -467,25 +487,15 @@ def ground(theory: Theory) -> Theory:
     return Theory(theory.facts, tuple(rules), frozenset(superiority))
 
 
-def _instances(rule: Rule, variables: list[str], constants: list[str],
-               literals: dict[tuple[str, tuple[str, ...], bool], Literal]) -> Iterator[Rule]:
+def _instances(rule: Rule, variables: list[str], constants: list[str]) -> Iterator[Rule]:
     """The instances of schema `rule`, one per assignment of `constants` to
-    its sorted `variables`, in the order of `itertools.product`.
-
-    `literals` holds the ground literals built so far, keyed by name, args
-    and sign, so each distinct one is built once per grounding.
-    """
+    its sorted `variables`, in the order of `itertools.product`."""
     templates = [(lit.atom.name, lit.atom.args, lit.positive)
                  for lit in (rule.head, *rule.antecedent)]
     for values in itertools.product(constants, repeat=len(variables)):
         binding = dict(zip(variables, values))
-        bound = []
-        for name, args, positive in templates:
-            key = (name, tuple(map(binding.get, args, args)), positive)
-            literal = literals.get(key)
-            if literal is None:
-                literal = literals[key] = Literal(Atom(name, key[1]), positive)
-            bound.append(literal)
+        bound = [Literal(Atom(name, tuple(map(binding.get, args, args))), positive)
+                 for name, args, positive in templates]
         yield Rule(instance_label(rule.label, values), bound[1:], rule.kind, bound[0])
 
 

@@ -199,15 +199,16 @@ class _Solver:
     Compilation numbers every literal once, in two tables that invert each
     other: `ids` maps a literal to its number ``q`` and `literals` maps ``q``
     back.  An atom's literals are ``2 * i`` (positive) and ``2 * i + 1``, so
-    the complement of ``q`` is ``q ^ 1``, and both are numbered when either
-    is first met: atoms of facts and heads in theory order, then those only
-    antecedents mention by (name, args), so the log is the same in every
-    process.  Rules keep their theory order.  Per literal there are `fact`,
-    the rules with that head (`rules_for`) and the rules with it in their
-    antecedent (`uses`); per rule, its `head`, its `body`, whether it is
-    `strict` and whether it `supports` (is not a defeater), and
-    `overrides[t]`, the rules `t` counterattacks: those with the complement
-    of its head that it is declared superior to, when `t` supports.
+    the complement of ``q`` is ``q ^ 1``.  Atoms are numbered in an order
+    that does not follow memory addresses, so the log is the same in every
+    process: those of facts and heads in theory order, then those only
+    antecedents mention by (name, args).  Rules keep their theory order.
+    Per literal there are `fact`, the rules with that head (`rules_for`) and
+    the rules with it in their antecedent (`uses`); per rule, its `head`,
+    its `body`, whether it is `strict` and whether it `supports` (is not a
+    defeater), and `overrides[t]`, the rules `t` counterattacks: those with
+    the complement of its head that it is declared superior to, when `t`
+    supports.
 
     Only these tables, the four `derived` sets and the `log` outlive
     :meth:`run`, which keeps its counters in locals.  Every derivation is
@@ -218,29 +219,11 @@ class _Solver:
     def __init__(self, theory: Theory):
         rules = theory.rules
         heads = [r.head for r in rules]
-        # Atom i has the literals 2i (positive) and 2i + 1.  Atoms are
-        # numbered when first met: those of facts and heads in theory order,
-        # then those only antecedents mention.
-        atom_number: dict[Atom, int] = {}
-
-        def numbered(group: Iterable[Literal]) -> dict[int, Literal]:
-            return {2 * atom_number.setdefault(literal.atom, len(atom_number))
-                    + (not literal.positive): literal for literal in group}
-
-        # Each literal stands for itself as the first of its equal objects
-        # met, or as a complement built here if the theory never mentions it.
-        mentioned = dict.fromkeys(chain(theory.facts, heads))
-        by_number = numbered(mentioned)
-        rest = set().union(*(r.antecedent for r in rules)).difference(mentioned)
-        # Antecedents are sets, iterated in an order that follows the
-        # process's string hashes, so the atoms only they mention are
-        # numbered by (name, args); the log then is the same in every process.
-        for atom in sorted({literal.atom for literal in rest}.difference(atom_number),
-                           key=lambda atom: (atom.name, atom.args)):
-            atom_number[atom] = len(atom_number)
-        by_number.update(numbered(rest))
-        self.literals = literals = [by_number[q] if q in by_number else by_number[q ^ 1].complement()
-                                    for q in range(2 * len(atom_number))]
+        atoms = dict.fromkeys(map(attrgetter("atom"), chain(theory.facts, heads)))
+        # `theory.atoms` is a set, which iterates by memory address.
+        rest = sorted(theory.atoms.difference(atoms), key=attrgetter("name", "args"))
+        atoms.update(dict.fromkeys(rest))
+        self.literals = literals = [Literal(atom, s) for atom in atoms for s in (True, False)]
         n = len(literals)
         self.ids = ids = dict(zip(literals, range(n)))
         self.head = head = list(map(ids.__getitem__, heads))
@@ -537,6 +520,9 @@ def replay(theory: Theory, derivation: Derivation, mode: Mode = Mode.FULL) -> bo
     return True
 
 
+_LITERAL_ORDER = attrgetter("atom.name", "atom.args", "positive")
+
+
 class _Index(NamedTuple):
     """What :func:`_witness` reads: a ground theory, whose literals and rules
     are its own objects for :func:`replay` and the solver's ids for
@@ -559,11 +545,13 @@ class _Index(NamedTuple):
         by_head: dict[Literal, list[Rule]] = {}
         for rule in theory.rules:
             by_head.setdefault(rule.head, []).append(rule)
+        # Antecedents in a fixed order: `_blocked` stops at the first with a
+        # line, and set order follows memory addresses.
         return cls(frozenset(theory.facts).__contains__, lambda q: by_head.get(q, ()),
                    Literal.complement, lambda r: r.kind is RuleKind.STRICT,
                    lambda r: r.kind is not RuleKind.DEFEATER,
                    lambda t, s: (t.label, s.label) in theory.superiority,
-                   attrgetter("antecedent"), line)
+                   lambda r: sorted(r.antecedent, key=_LITERAL_ORDER), line)
 
 
 def _witness(index: _Index, tag: Tag, q: Any) -> tuple[str, list, list] | None:

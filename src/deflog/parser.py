@@ -26,11 +26,11 @@ with ``allow_generated=True``, which extends names with ``$``-segments
 Reading is built for the large outputs of the transformation passes.  The
 whole source is lexed by one ``re.findall`` call that returns the token
 texts; kinds follow from the texts, and token positions are recomputed only
-to report an error.  The parser then walks the statements by index, and
-builds each distinct literal once per parse, so a theory shares one
-:class:`Literal` object among all its occurrences.  :func:`parse_atoms`
-reads a comma-separated list of ground atoms with the same lexer and atom
-rule.
+to report an error.  The parser then walks the statements by index.  It
+looks each distinct literal up in :class:`Literal` once per parse, and finds
+it by name in a table of its own after that; every occurrence is the one
+object of its value, as anywhere in the process.  :func:`parse_atoms` reads
+a comma-separated list of ground atoms with the same lexer and atom rule.
 """
 
 from __future__ import annotations
@@ -207,11 +207,10 @@ def _reader(
     def error(message: str, index: int) -> ParseError:
         return _error_at(text, _token_start(text, tokens, index), message)
 
-    # Each distinct literal is built once per parse, keyed by its atom's
-    # name, or by its name and arguments.
+    # Each distinct literal is looked up in `Literal` once per parse, then
+    # found here by its atom's name, or by its name and arguments.
     positives: dict = {}
     negatives: dict = {}
-    atoms: dict = {}
 
     def literal(i: int) -> tuple[Literal, int]:
         """The literal starting at token `i`, and the index after it."""
@@ -250,10 +249,7 @@ def _reader(
             lit = table.get(key)
             if lit is not None:
                 return lit, end
-        atom = atoms.get(key)
-        if atom is None:
-            atom = atoms[key] = Atom(name, args)
-        lit = table[key] = Literal(atom, table is positives)
+        lit = table[key] = Literal(Atom(name, args), table is positives)
         return lit, end
 
     return error, literal

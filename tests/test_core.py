@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -300,19 +301,26 @@ def _value_cases() -> list[tuple[object, tuple[str, ...], str]]:
 VALUE_CASES = _value_cases()
 
 
-@pytest.mark.parametrize("value, names, expected_repr", VALUE_CASES,
-                         ids=[type(case[0]).__name__ for case in VALUE_CASES])
+def _each(cases: list) -> pytest.MarkDecorator:
+    return pytest.mark.parametrize("value, names, expected_repr", cases,
+                                   ids=[type(case[0]).__name__ for case in cases])
+
+
 class TestValueTypes:
     """The contract the value types kept from their frozen-dataclass days."""
 
+    @_each(VALUE_CASES)
     def test_repr(self, value, names, expected_repr):
         assert repr(value) == expected_repr
 
+    @_each(VALUE_CASES)
     def test_keyword_construction(self, value, names, expected_repr):
         values = tuple(getattr(value, name) for name in names)
         assert type(value)(**dict(zip(names, values))) == value
         assert type(value)(*values) == value
 
+    # Atoms and literals hash by identity: see `TestOneObjectPerValue`.
+    @_each([case for case in VALUE_CASES if not isinstance(case[0], (Atom, Literal))])
     def test_hash_is_the_hash_of_the_field_tuple(self, value, names, expected_repr):
         values = tuple(getattr(value, name) for name in names)
         if isinstance(value, TransformReport):
@@ -324,6 +332,7 @@ class TestValueTypes:
         else:
             assert hash(value) == hash(values)
 
+    @_each(VALUE_CASES)
     def test_immutable(self, value, names, expected_repr):
         for name in (*names, "extra"):
             with pytest.raises(AttributeError):
@@ -331,15 +340,72 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             delattr(value, names[0])
 
+    @_each(VALUE_CASES)
     def test_pickle_and_copy_round_trip(self, value, names, expected_repr):
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert type(twin) is type(value)
             assert twin == value
             assert repr(twin) == expected_repr
 
+    @_each(VALUE_CASES)
     def test_never_equal_to_a_tuple(self, value, names, expected_repr):
         values = tuple(getattr(value, name) for name in names)
         assert value != values and values != value
+
+
+class TestOneObjectPerValue:
+    """Atoms and literals are hash-consed: one object per value."""
+
+    def pool(self) -> list:
+        atoms = [Atom("p"), Atom("p", ("c",)), Atom("p", ("d",)), Atom("q", ("c",))]
+        return atoms + [Literal(atom, positive) for atom in atoms for positive in (True, False)]
+
+    def test_equal_means_identical(self):
+        assert Atom("p", ["c"]) is Atom("p", ("c",)) is Atom(name="p", args=iter(["c"]))
+        assert Literal(Atom("p", ["c"]), False) is Literal(atom=Atom("p", ("c",)), positive=False)
+        pool, twins = self.pool(), self.pool()
+        for x, twin in zip(pool, twins):
+            assert twin is x
+            for y in pool:
+                assert (x == y) == (x is y)
+
+    def test_identity_hash_and_equality_run_in_c(self):
+        for x in self.pool():
+            assert type(x).__hash__ is object.__hash__ and type(x).__eq__ is object.__eq__
+            assert not hasattr(x, "_hash")
+
+    def test_pickle_and_copy_return_the_shared_object(self):
+        for x in self.pool():
+            for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert twin is x
+
+    def test_threads_never_build_twins(self):
+        # Eight threads build the same new literals at once, switching as
+        # often as the interpreter allows; each value must get one object.
+        names = [f"twin{i}" for i in range(2000)]
+        results: list = [None] * 8
+        start = threading.Barrier(len(results), timeout=60)
+
+        def build(k: int) -> None:
+            start.wait()
+            results[k] = [Literal(Atom(name, ("c",)), k % 2 == 0).complement()
+                          for name in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for k, built in enumerate(results):
+            assert len(built) == len(names)
+            assert all(x is y.complement() for x, y in zip(built, results[k ^ 1]))
+            assert all(x is y for x, y in zip(built, results[k % 2]))
 
 
 def test_distinct_transform_reports_have_distinct_origins():

@@ -204,19 +204,37 @@ class TestProve:
         assert produced == (GOLDEN / "derivations.txt").read_text()
 
     def test_derivations_do_not_depend_on_string_hashes(self):
-        """Antecedents are sets, iterated in an order that follows the
-        process's string hashes; the derivations `prove` returns, premises
-        included, must not.  Nor may they depend on which call solved the
-        theory first: `prove` itself, `conclusions` with extra atoms, or
-        reduced-mode `conclusions` (on the theories that admit it)."""
+        """Antecedents are sets of literals, which hash by identity, so they
+        iterate in an order that follows memory addresses; string sets
+        follow the process's string hashes.  Neither may change the
+        derivations `prove` returns, premises included, nor the Python-level
+        calls that `prove` and `replay` make: not the hash seed, not objects
+        allocated before, and not which call solved the theory first:
+        `prove` itself, `conclusions` with extra atoms, or reduced-mode
+        `conclusions` (on the theories that admit it)."""
         code = """if True:
             import hashlib, sys
-            from deflog import (Literal, Mode, PreconditionError, Tag, TaggedLiteral,
-                                conclusions, prove)
+            from deflog import (Atom, Literal, Mode, PreconditionError, Tag, TaggedLiteral,
+                                conclusions, prove, replay)
             from deflog.analysis import gen_theory
+            unrelated = [Literal(Atom(f"u{i}", ("c",)), i % 2 == 0)
+                         for i in range(int(sys.argv[2]))]
             first = {"prove": lambda t: None,
                      "extras": lambda t: conclusions(t, extra_atoms=["zz", "a"]),
                      "reduced": lambda t: conclusions(t, Mode.REDUCED)}[sys.argv[1]]
+            calls = 0
+
+            def tally(frame, event, arg):
+                global calls
+                calls += event == "call"
+
+            def counted(fn, *args):
+                sys.setprofile(tally)
+                try:
+                    return fn(*args)
+                finally:
+                    sys.setprofile(None)
+
             general = dict(num_facts=2, defeater_fraction=0.2, sup_density=0.08)
             digest, count = hashlib.sha256(), 0
             for seed in range(150):
@@ -226,21 +244,26 @@ class TestProve:
                     first(t)
                 except PreconditionError:
                     pass
+                # Solves, if `first` did not, outside the count.
+                prove(t, TaggedLiteral(Tag.PLUS_DELTA, Literal(min(t.atoms, key=str))))
                 for atom in sorted(t.atoms, key=str):
                     for tag in Tag:
                         for positive in (True, False):
-                            d = prove(t, TaggedLiteral(tag, Literal(atom, positive)))
+                            d = counted(prove, t, TaggedLiteral(tag, Literal(atom, positive)))
                             if d is not None:
+                                assert counted(replay, t, d)
                                 digest.update(repr(d).encode() + b"\\0")
                                 count += 1
-            print(count, digest.hexdigest())
+            print(count, calls, digest.hexdigest())
         """
         src = str(Path(__file__).parent.parent / "src")
+        runs = [(seed, first, "0") for seed in ("0", "1") for first in ("prove", "extras", "reduced")]
+        runs += [(seed, "prove", "5000") for seed in ("0", "1")]
         outputs = {
-            subprocess.run([sys.executable, "-c", code, first], capture_output=True,
+            subprocess.run([sys.executable, "-c", code, first, unrelated], capture_output=True,
                            text=True, check=True, timeout=120,
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
-            for seed in ("0", "1") for first in ("prove", "extras", "reduced")
+            for seed, first, unrelated in runs
         }
         assert len(outputs) == 1, outputs
 
