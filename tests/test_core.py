@@ -301,29 +301,27 @@ def _value_cases() -> list[tuple[object, tuple[str, ...], str]]:
 VALUE_CASES = _value_cases()
 
 
-def _each(cases: list) -> pytest.MarkDecorator:
-    return pytest.mark.parametrize("value, names, expected_repr", cases,
-                                   ids=[type(case[0]).__name__ for case in cases])
-
-
+@pytest.mark.parametrize("value, names, expected_repr", VALUE_CASES,
+                         ids=[type(case[0]).__name__ for case in VALUE_CASES])
 class TestValueTypes:
     """The contract the value types kept from their frozen-dataclass days."""
 
-    @_each(VALUE_CASES)
     def test_repr(self, value, names, expected_repr):
         assert repr(value) == expected_repr
 
-    @_each(VALUE_CASES)
     def test_keyword_construction(self, value, names, expected_repr):
         values = tuple(getattr(value, name) for name in names)
         assert type(value)(**dict(zip(names, values))) == value
         assert type(value)(*values) == value
 
-    # Atoms and literals hash by identity: see `TestOneObjectPerValue`.
-    @_each([case for case in VALUE_CASES if not isinstance(case[0], (Atom, Literal))])
     def test_hash_is_the_hash_of_the_field_tuple(self, value, names, expected_repr):
         values = tuple(getattr(value, name) for name in names)
-        if isinstance(value, TransformReport):
+        if isinstance(value, (Atom, Literal)):
+            # Hash-consed: the field tuple picks the one shared object, whose
+            # hash is its identity hash (see `TestOneObjectPerValue`).
+            assert type(value)(*values) is value
+            assert hash(value) == object.__hash__(value) == hash(type(value)(*values))
+        elif isinstance(value, TransformReport):
             with pytest.raises(TypeError):  # `origins` is a dict
                 hash(value)
         elif isinstance(value, Theory):  # order-insensitive, as its equality
@@ -332,7 +330,6 @@ class TestValueTypes:
         else:
             assert hash(value) == hash(values)
 
-    @_each(VALUE_CASES)
     def test_immutable(self, value, names, expected_repr):
         for name in (*names, "extra"):
             with pytest.raises(AttributeError):
@@ -340,14 +337,12 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             delattr(value, names[0])
 
-    @_each(VALUE_CASES)
     def test_pickle_and_copy_round_trip(self, value, names, expected_repr):
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert type(twin) is type(value)
             assert twin == value
             assert repr(twin) == expected_repr
 
-    @_each(VALUE_CASES)
     def test_never_equal_to_a_tuple(self, value, names, expected_repr):
         values = tuple(getattr(value, name) for name in names)
         assert value != values and values != value
