@@ -11,6 +11,7 @@ is deterministic.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .core import (
@@ -22,11 +23,10 @@ from .core import (
     check_well_formed,
     ground,
 )
-from .engine import Mode, conclusions
 from .parser import ParseError, parse, parse_atoms, print_theory
 
-# `transform` and `analysis` are imported by the subcommands that call them,
-# so a process pays only for the subcommand it runs.
+# `engine`, `transform` and `analysis` are imported by the subcommands that
+# call them, so a process pays only for the subcommand it runs.
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -60,6 +60,8 @@ def _prepare(theory: Theory, do_ground: bool) -> Theory:
 
 
 def _cmd_conclusions(args: argparse.Namespace) -> int:
+    from .engine import Mode, conclusions
+
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     mode = Mode.REDUCED if args.mode == "reduced" else Mode.FULL
     result = conclusions(theory, mode,
@@ -119,6 +121,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .analysis import classify_pair
+    from .engine import Mode, conclusions
 
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
     named = _atoms(args.atom, "--atom", args.allow_generated)
@@ -222,5 +225,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
 
 
+def run() -> None:
+    """Process entry point of `deflog` and `python -m deflog.cli`.
+
+    One CLI run leaves a fixed amount of cyclic garbage (argparse's parser
+    graph) whatever its input, so the process runs `main` with the cyclic
+    collector off and, before exiting, freezes the heap: CPython's last
+    collection at shutdown skips frozen objects.  `main` itself leaves the
+    collector as it found it, for tests and embedders that call it.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -186,6 +186,11 @@ class Literal(_Value):
         return str(self.atom) if self.positive else f"~{self.atom}"
 
 
+# Sorts literals without a Python-level call, by spelling and then sign; sort
+# a set of literals by it wherever iteration order can show.
+_LITERAL_ORDER = attrgetter("atom.name", "atom.args", "positive")
+
+
 class RuleKind(Enum):
     """The three rule arrows."""
 

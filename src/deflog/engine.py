@@ -60,6 +60,7 @@ from .core import (
     Tag,
     TaggedLiteral,
     Theory,
+    _LITERAL_ORDER,
     _assign,
     _Value,
 )
@@ -518,9 +519,6 @@ def replay(theory: Theory, derivation: Derivation, mode: Mode = Mode.FULL) -> bo
             return False
         have[tagged.tag].add(tagged.literal)
     return True
-
-
-_LITERAL_ORDER = attrgetter("atom.name", "atom.args", "positive")
 
 
 class _Index(NamedTuple):

@@ -34,6 +34,7 @@ from .core import (
     Rule,
     RuleKind,
     Theory,
+    _LITERAL_ORDER,
     _MINUS_PREFIX,
     _PLUS_PREFIX,
     _assign,
@@ -161,7 +162,7 @@ def normal(theory: Theory) -> tuple[Theory, TransformReport]:
         rules.append(Rule(rule.label, rule.antecedent, RuleKind.DEFEASIBLE, rule.head))
         origins[primed.label] = origin
         origins.setdefault(str(primed.head.atom), origin)
-        for a in primed.antecedent:
+        for a in sorted(primed.antecedent, key=_LITERAL_ORDER):
             origins.setdefault(str(a.atom), origin)
         bridge_literals.setdefault(rule.head, origin)
 

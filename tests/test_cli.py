@@ -1,3 +1,4 @@
+import gc
 import os
 import shutil
 import subprocess
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from deflog.analysis import gen_theory
 from deflog.cli import main
 from deflog.engine import ConclusionSet
+from deflog.parser import print_theory
 
 from conftest import GOLDEN
 
@@ -56,18 +59,78 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["conclusions", EXAMPLE1, "--ground"], []),
+    (["conclusions", EXAMPLE1, "--ground"], ["deflog.engine"]),
     (["transform", EXAMPLE3, "--stage", "normal"], ["deflog.transform"]),
 ])
 def test_a_subcommand_imports_only_what_it_calls(argv, loaded):
     code = ("import sys; from deflog.cli import main; main(sys.argv[1:]); "
-            "print([m for m in ('deflog.analysis', 'deflog.transform', 'graphlib') "
-            "if m in sys.modules], "
-            "file=sys.stderr)")
+            "print([m for m in ('deflog.analysis', 'deflog.engine', 'deflog.transform', "
+            "'graphlib') if m in sys.modules], file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stderr == f"{loaded}\n"
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["conclusions", EXAMPLE1, "--ground"], b"", 0),
+    (["check", EXAMPLE1, "--what", "normal"], b"", 1),
+    (["conclusions", "-"], b"r: p =>", 2),
+    (["conclusions", EXAMPLE1], b"", 3),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+def test_the_process_entry_point_runs_without_cyclic_collections(argv, stdin, code):
+    """`run` keeps the collector off and freezes the heap before the
+    interpreter's last collection, and passes `main`'s exit code on."""
+    probe = ("import atexit, gc, sys; atexit.register(lambda: print("
+             "gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+             "from deflog.cli import run; run()")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], input=stdin,
+                            capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
+                            timeout=60)
+    assert result.returncode == code, result.stderr
+    assert result.stderr.endswith(b"False True\n"), result.stderr
+    if code == 0:
+        assert result.stdout == (GOLDEN / "example1.conclusions.txt").read_bytes()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, "conclusions", EXAMPLE1, "--ground")[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+def test_a_run_leaves_the_same_cyclic_garbage_whatever_the_input_size(tmp_path):
+    """What `run` never collects is bounded: `main` leaves as many
+    unreachable cyclic objects on a 2,000-rule input as on a 10-rule one."""
+    code = ("import gc, sys; gc.disable(); from deflog.cli import main; gc.collect(); "
+            "main(sys.argv[1:]); print(gc.collect(), file=sys.stderr)")
+
+    def garbage(*argv: str) -> tuple[int, str]:
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return int(result.stderr), result.stdout
+
+    counts = []
+    for rules in (10, 2000):
+        source = tmp_path / f"{rules}.dfl"
+        source.write_text(print_theory(gen_theory(
+            rules, num_atoms=max(6, rules // 2), num_rules=rules, num_facts=max(2, rules // 50),
+            defeater_fraction=0.1, strict_fraction=0.3)))
+        compiled = tmp_path / f"{rules}.pipeline.dfl"
+        pipelined, output = garbage("transform", str(source), "--stage", "pipeline")
+        compiled.write_text(output)
+        counts.append((garbage("conclusions", str(source))[0], pipelined,
+                       garbage("conclusions", str(compiled), "--mode", "reduced",
+                               "--allow-generated")[0]))
+    assert counts[0] == counts[1]
+
+
+def test_the_installed_command_uses_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"deflog": "deflog.cli:run"}
 
 
 class TestConclusions:

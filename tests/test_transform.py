@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from deflog import (
@@ -247,6 +252,30 @@ def test_defeater_origins_name_only_what_its_image_uses():
     assert "$ip(d)" not in elim_sup(parse("d: a ~> p. r: => ~p."))[1].origins
     # A defeater's `$ip` occurs only in the rules of a superiority pair.
     assert elim_sup(parse("d: a ~> p. r: => ~p. d > r."))[1].origins["$ip(d)"] == "rule d"
+
+
+def test_origins_order_does_not_depend_on_memory_addresses():
+    """Antecedents are sets of literals, which hash by identity: `normal`
+    records origins in an order of its own, not the sets' iteration order,
+    so two processes that built different objects before agree on it."""
+    code = """if True:
+        import sys
+        from deflog import Atom, normal, pipeline
+        from deflog.analysis import gen_theory
+        unrelated = [Atom(f"u{i}", ("c",)) for i in range(int(sys.argv[1]))]
+        for seed in range(20):
+            theory = gen_theory(seed, num_atoms=8, num_rules=12, num_facts=2,
+                                defeater_fraction=0.2, strict_fraction=0.5,
+                                sup_density=0.2, force_well_formed=True)
+            for stage in (normal, pipeline):
+                print(list(stage(theory)[1].origins))
+    """
+    src = str(Path(__file__).parent.parent / "src")
+    keys = [subprocess.run([sys.executable, "-c", code, unrelated], capture_output=True,
+                           text=True, check=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src}).stdout
+            for unrelated in ("0", "5000")]
+    assert keys[0] == keys[1]
 
 
 class TestNonModularityRegressions:
