@@ -10,8 +10,8 @@ value types are plain classes on :class:`_Value`: slotted (except
 :class:`Theory`, whose derived views are cached properties) and compared by
 their fields in order.  Atoms and literals are hash-consed: constructing one
 returns the single object for its fields, kept for the life of the process,
-so they compare and hash by identity, in C.  Rules and tagged literals
-compute their hash once, at construction.
+so they compare and hash by identity, in C.  An atom is built together with
+its two literals.
 
 Atoms may carry arguments.  Uppercase-initial arguments are variables, which
 makes the enclosing rule a schema; :func:`ground` expands schemas over the
@@ -100,15 +100,6 @@ class _Value:
     __delattr__ = __setattr__
 
 
-class _Hashed(_Value):
-    """A value type whose constructor stores ``hash(field tuple)``."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 class Atom(_Value):
     """A named proposition, optionally applied to arguments.
 
@@ -117,11 +108,11 @@ class Atom(_Value):
     There is one atom per ``(name, args)``: equal atoms are the same object.
     """
 
-    __slots__ = ("name", "args")
+    __slots__ = ("name", "args", "_positive", "_negative")  # the last two: its literals
     name: str
     args: tuple[str, ...]
     # (name, args) -> the atom.  `setdefault` keeps the first of two atoms
-    # built at once by two threads, so no value ever has twins.
+    # built at once by two threads, so no atom, and no literal, has twins.
     _shared = {}  # not annotated: annotated names are fields
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -135,6 +126,11 @@ class Atom(_Value):
             atom = object.__new__(cls)
             _assign(atom, "name", name)
             _assign(atom, "args", args)
+            for slot, positive in (("_positive", True), ("_negative", False)):
+                literal = object.__new__(Literal)
+                _assign(literal, "atom", atom)
+                _assign(literal, "positive", positive)
+                _assign(atom, slot, literal)
             atom = cls._shared.setdefault((name, args), atom)
         return atom
 
@@ -156,27 +152,23 @@ class Atom(_Value):
 class Literal(_Value):
     """A signed atom; the unit of facts, antecedents, heads and conclusions.
 
-    There is one literal per ``(atom, positive)``, shared as atoms are.
+    There is one literal per ``(atom, positive)``, built with its atom:
+    `positive` is ``True`` or ``False`` however the sign was spelled.
     """
 
     __slots__ = ("atom", "positive")
     atom: Atom
     positive: bool
-    _shared = {}  # (atom, positive) -> the literal, filled as `Atom._shared` is
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __new__(cls, atom: Atom, positive: bool = True) -> Literal:
-        literal = cls._shared.get((atom, positive))
-        if literal is None:
-            literal = object.__new__(cls)
-            _assign(literal, "atom", atom)
-            _assign(literal, "positive", positive)
-            literal = cls._shared.setdefault((atom, positive), literal)
-        return literal
+        if atom.__class__ is not Atom:
+            raise TypeError(f"a literal's atom must be an Atom, not {type(atom).__name__}")
+        return atom._positive if positive else atom._negative
 
     def complement(self) -> Literal:
-        return Literal(self.atom, not self.positive)
+        return self.atom._negative if self.positive else self.atom._positive
 
     @property
     def is_ground(self) -> bool:
@@ -185,6 +177,9 @@ class Literal(_Value):
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"~{self.atom}"
 
+
+# An atom's two literals, positive first, read without a Python-level call.
+_LITERALS_OF = attrgetter("_positive", "_negative")
 
 # Sorts literals without a Python-level call, by spelling and then sign; sort
 # a set of literals by it wherever iteration order can show.
@@ -203,7 +198,7 @@ class RuleKind(Enum):
         return self.value
 
 
-class Rule(_Hashed):
+class Rule(_Value):
     """A labelled rule: finite antecedent set, arrow kind, head literal."""
 
     __slots__ = ("label", "antecedent", "kind", "head")
@@ -221,9 +216,6 @@ class Rule(_Hashed):
         _assign(self, "antecedent", antecedent)
         _assign(self, "kind", kind)
         _assign(self, "head", head)
-        # An Enum member hashes as its name, so this is hash(field tuple)
-        # without a Python-level call to `Enum.__hash__`.
-        _assign(self, "_hash", hash((label, antecedent, kind._name_, head)))
 
     @property
     def generated(self) -> bool:
@@ -380,8 +372,7 @@ def check_well_formed(theory: Theory) -> WellFormedReport:
         acyclic = True
     heads = ((theory.rule_map[sup].head, theory.rule_map[inf].head)
              for sup, inf in theory.superiority)
-    # Opposite signs on one atom: no complement literal is built and hashed.
-    complementary = all(a.positive != b.positive and a.atom == b.atom for a, b in heads)
+    complementary = all(b is a.complement() for a, b in heads)
     return WellFormedReport(acyclic=acyclic, complementary=complementary)
 
 
@@ -536,7 +527,7 @@ class Tag(Enum):
     MINUS_PARTIAL = "-d"
 
 
-class TaggedLiteral(_Hashed):
+class TaggedLiteral(_Value):
     """A literal annotated with one of the four conclusion tags."""
 
     __slots__ = ("tag", "literal")
@@ -546,7 +537,6 @@ class TaggedLiteral(_Hashed):
     def __init__(self, tag: Tag, literal: Literal) -> None:
         _assign(self, "tag", tag)
         _assign(self, "literal", literal)
-        _assign(self, "_hash", hash((tag._name_, literal)))  # as in `Rule`
 
     def __str__(self) -> str:
         return f"{self.tag.value} {self.literal}"

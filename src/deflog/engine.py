@@ -61,6 +61,7 @@ from .core import (
     TaggedLiteral,
     Theory,
     _LITERAL_ORDER,
+    _LITERALS_OF,
     _assign,
     _Value,
 )
@@ -224,7 +225,7 @@ class _Solver:
         # `theory.atoms` is a set, which iterates by memory address.
         rest = sorted(theory.atoms.difference(atoms), key=attrgetter("name", "args"))
         atoms.update(dict.fromkeys(rest))
-        self.literals = literals = [Literal(atom, s) for atom in atoms for s in (True, False)]
+        self.literals = literals = list(chain.from_iterable(map(_LITERALS_OF, atoms)))
         n = len(literals)
         self.ids = ids = dict(zip(literals, range(n)))
         self.head = head = list(map(ids.__getitem__, heads))
@@ -436,9 +437,9 @@ def conclusions(
     found = [frozenset(compress(solver.literals, done)) for done in solver.derived]
     # An atom with no fact and no rule has both of its literals refuted at
     # both levels, and nothing else.
-    extra = (Literal(Atom(a) if isinstance(a, str) else a) for a in extra_atoms)
+    extra = (_LITERALS_OF(Atom(a) if isinstance(a, str) else a) for a in extra_atoms)
     absent = frozenset(chain.from_iterable(
-        (literal, literal.complement()) for literal in extra if literal not in solver.ids))
+        literals for literals in extra if literals[0] not in solver.ids))
     if absent:
         found[_MD] |= absent
         found[_MP] |= absent

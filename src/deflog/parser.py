@@ -27,8 +27,8 @@ Reading is built for the large outputs of the transformation passes.  The
 whole source is lexed by one ``re.findall`` call that returns the token
 texts; kinds follow from the texts, and token positions are recomputed only
 to report an error.  The parser then walks the statements by index.  It
-looks each distinct literal up in :class:`Literal` once per parse, and finds
-it by name in a table of its own after that; every occurrence is the one
+looks each distinct atom up in :class:`Atom` once per parse, and finds it by
+name in a table of its own after that; every literal it returns is the one
 object of its value, as anywhere in the process.  :func:`parse_atoms` reads
 a comma-separated list of ground atoms with the same lexer and atom rule.
 """
@@ -46,6 +46,7 @@ from .core import (
     Rule,
     RuleKind,
     Theory,
+    _LITERALS_OF,
     _is_variable,
 )
 
@@ -207,22 +208,20 @@ def _reader(
     def error(message: str, index: int) -> ParseError:
         return _error_at(text, _token_start(text, tokens, index), message)
 
-    # Each distinct literal is looked up in `Literal` once per parse, then
-    # found here by its atom's name, or by its name and arguments.
-    positives: dict = {}
-    negatives: dict = {}
+    # Each distinct atom is looked up in `Atom` once per parse, then found
+    # here by its name, or by its name and arguments, as its two literals.
+    atoms: dict = {}
 
     def literal(i: int) -> tuple[Literal, int]:
         """The literal starting at token `i`, and the index after it."""
         name = tokens[i]
-        table = positives
-        if name == "~":
-            table = negatives
+        negated = name == "~"
+        if negated:
             i += 1
             name = tokens[i]
-        lit = table.get(name)
-        if lit is not None and tokens[i + 1] != "(":
-            return lit, i + 1
+        literals = atoms.get(name)
+        if literals is not None and tokens[i + 1] != "(":
+            return literals[negated], i + 1
         if name in _PUNCT:
             raise error("expected an atom", i)
         if _is_variable(name):
@@ -246,11 +245,11 @@ def _reader(
                 raise error("expected ')'", end)
             end += 1
             key = (name, args)
-            lit = table.get(key)
-            if lit is not None:
-                return lit, end
-        lit = table[key] = Literal(Atom(name, args), table is positives)
-        return lit, end
+            literals = atoms.get(key)
+            if literals is not None:
+                return literals[negated], end
+        literals = atoms[key] = _LITERALS_OF(Atom(name, args))
+        return literals[negated], end
 
     return error, literal
 

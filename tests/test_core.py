@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import sys
@@ -368,6 +369,37 @@ class TestOneObjectPerValue:
         for x in self.pool():
             assert type(x).__hash__ is object.__hash__ and type(x).__eq__ is object.__eq__
             assert not hasattr(x, "_hash")
+
+    @pytest.mark.parametrize("first, second", [(1, True), (True, 1), (0, False), (False, 0)])
+    def test_sign_is_a_bool_however_spelled(self, first, second):
+        atom = Atom(f"sign_{first!r}_{second!r}")  # fresh: no other test builds it
+        literal = Literal(atom, first)
+        assert Literal(atom, second) is literal
+        assert literal.positive is bool(first)
+        assert literal.complement().positive is (not first)
+        assert Literal(atom, not first) is literal.complement()
+
+    def test_literal_of_a_non_atom_raises(self):
+        for atom in ("zz", None, ("zz", ()), Literal(Atom("p"))):
+            with pytest.raises(TypeError, match="must be an Atom"):
+                Literal(atom)
+
+    def test_literals_add_no_tracked_object(self):
+        # An atom is built with its two literals, so asking for them, or for
+        # their complements, allocates nothing the collector tracks.
+        atoms = [Atom(f"untracked{i}") for i in range(1000)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            built = [x for atom in atoms for literal in (Literal(atom), Literal(atom, False))
+                     for x in (literal, literal.complement())]
+            added = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(set(built)) == 2000
+        assert added <= 1  # the list `built`
 
     def test_pickle_and_copy_return_the_shared_object(self):
         for x in self.pool():

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deflog import (
-    ParseError, RuleKind, Theory, elim_dft, ground, normal, parse, pipeline, print_theory,
+    Atom, Literal, ParseError, RuleKind, Theory, elim_dft, ground, normal, parse, pipeline,
+    print_theory,
 )
+from deflog.parser import parse_atoms
 from deflog.analysis import gen_theory
 
 from conftest import GOLDEN
@@ -48,6 +50,31 @@ class TestGrammar:
     def test_superiority_statement(self):
         t = parse("r1: => p. r2: => ~p. r1 > r2.")
         assert t.superiority == {("r1", "r2")}
+
+
+@pytest.mark.parametrize("first", ["core", "parse", "parse_atoms"])
+def test_parsed_literals_are_the_shared_objects(first):
+    """Whichever builds an atom first, `parse` and `parse_atoms` return the
+    process's one object for each literal and atom: ~p before p, p before
+    p(c), and ~p(c) last, in facts, rules and an atom list."""
+    p = f"shared_{first}"  # fresh: no other test builds these atoms
+    steps = {
+        "core": lambda: {str(l): l for a in (Atom(p), Atom(p, ("c",)), Atom(p, ("d",)))
+                         for l in (Literal(a), Literal(a, False))},
+        "parse": lambda: parse(
+            f"~{p}. r1: ~{p}, {p} => {p}(c). {p}(d). r2: {p}(c), {p}(d) ~> ~{p}(c)."),
+        "parse_atoms": lambda: parse_atoms(f"{p}(d),{p},{p}(c)"),
+    }
+    made = {step: steps[step]() for step in (first, *(s for s in steps if s != first))}
+    shared, theory = made["core"], made["parse"]
+    parsed = [*theory.facts, *(l for r in theory.rules for l in (*r.antecedent, r.head))]
+    assert len(parsed) == 8
+    assert set(map(str, parsed)) == {p, f"~{p}", f"{p}(c)", f"~{p}(c)", f"{p}(d)"}
+    for literal in parsed:
+        assert literal is shared[str(literal)]
+    assert [str(a) for a in made["parse_atoms"]] == [f"{p}(d)", p, f"{p}(c)"]
+    for atom in made["parse_atoms"]:
+        assert atom is shared[str(atom)].atom
 
 
 class TestErrors:
