@@ -554,7 +554,8 @@ def primed_atom(atom: Atom) -> Atom:
 
 def primed_literal(literal: Literal) -> Literal:
     """Prime mapped through literals: the primed form of ~p is ~(p')."""
-    return Literal(primed_atom(literal.atom), literal.positive)
+    atom = primed_atom(literal.atom)
+    return atom._positive if literal.positive else atom._negative
 
 
 def fact_rule_label(fact: Literal) -> str:

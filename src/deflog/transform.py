@@ -16,7 +16,9 @@ input's own language:
 
 :func:`pipeline` composes the three in that order, yielding a theory with no
 facts, no defeaters and an empty superiority relation, on which the engine's
-reduced mode applies.
+reduced mode applies.  Each public pass checks its own preconditions;
+`pipeline` checks its input once and then runs the three bodies unchecked,
+since the stages in between are normal and well-formed by construction.
 
 Each pass is a pure function returning the new theory plus a
 :class:`TransformReport` with size accounting and the origin of every
@@ -29,6 +31,7 @@ alike; on that measure growth is bounded by a factor of 3 for `normal` and
 from __future__ import annotations
 
 from .core import (
+    Atom,
     Literal,
     PreconditionError,
     Rule,
@@ -110,8 +113,9 @@ class TransformReport(_Value):
         return self.output_size / self.input_size
 
 
-def _make_report(source: Theory, result: Theory, origins: dict[str, str]) -> TransformReport:
-    return TransformReport(
+def _with_report(source: Theory, result: Theory,
+                 origins: dict[str, str]) -> tuple[Theory, TransformReport]:
+    return result, TransformReport(
         input_facts=len(source.facts),
         input_rules=len(source.rules),
         input_superiority=len(source.superiority),
@@ -142,13 +146,16 @@ def normal(theory: Theory) -> tuple[Theory, TransformReport]:
     _require_ground(theory, "normal")
     if theory.has_generated_symbols:
         raise TransformError("already transformed")
+    return _with_report(theory, *_normal(theory))
 
+
+def _normal(theory: Theory) -> tuple[Theory, dict[str, str]]:
     origins: dict[str, str] = {}
     rules: list[Rule] = []
     bridge_literals: dict[Literal, str] = {}
 
     for rule in theory.rules:
-        if rule.kind != RuleKind.STRICT:
+        if rule.kind is not RuleKind.STRICT:
             rules.append(rule)
             continue
         origin = f"strict rule {rule.label}"
@@ -161,9 +168,10 @@ def normal(theory: Theory) -> tuple[Theory, TransformReport]:
         rules.append(primed)
         rules.append(Rule(rule.label, rule.antecedent, RuleKind.DEFEASIBLE, rule.head))
         origins[primed.label] = origin
-        origins.setdefault(str(primed.head.atom), origin)
+        # A primed atom has no arguments: its name is its spelling.
+        origins.setdefault(primed.head.atom.name, origin)
         for a in sorted(primed.antecedent, key=_LITERAL_ORDER):
-            origins.setdefault(str(a.atom), origin)
+            origins.setdefault(a.atom.name, origin)
         bridge_literals.setdefault(rule.head, origin)
 
     for fact in theory.facts:
@@ -172,7 +180,7 @@ def normal(theory: Theory) -> tuple[Theory, TransformReport]:
                          RuleKind.STRICT, primed_literal(fact))
         rules.append(fact_rule)
         origins[fact_rule.label] = origin
-        origins.setdefault(str(fact_rule.head.atom), origin)
+        origins.setdefault(fact_rule.head.atom.name, origin)
         bridge_literals.setdefault(fact, origin)
 
     for literal in sorted(bridge_literals, key=str):
@@ -181,12 +189,12 @@ def normal(theory: Theory) -> tuple[Theory, TransformReport]:
         rules.append(bridge)
         origins[bridge.label] = bridge_literals[literal]
 
-    result = Theory((), tuple(rules), theory.superiority)
-    return result, _make_report(theory, result, origins)
+    return Theory((), tuple(rules), theory.superiority), origins
 
 
-def _dft_images(rule: Rule) -> list[Rule]:
-    """The one-to-three rule translation that removes defeaters.
+def _dft_images(rule: Rule, support: Atom, block: Atom) -> list[Rule]:
+    """The one-to-three rule translation that removes defeaters, given the
+    support and block atoms of the rule's head atom.
 
     Positive and negative heads are symmetric: the support atom of the head
     atom backs the original conclusion through a linking rule, while the
@@ -195,22 +203,20 @@ def _dft_images(rule: Rule) -> list[Rule]:
     opposing polarity, so they keep their attacking power but lose any
     ability to support or counterattack.
     """
-    head_atom = rule.head.atom
-    support = Literal(plus_atom(head_atom))
-    block = Literal(minus_atom(head_atom))
-    if rule.kind == RuleKind.DEFEATER:
-        target = block.complement() if rule.head.positive else support.complement()
-        return [Rule(rule.label, rule.antecedent, RuleKind.DEFEASIBLE, target)]
-    if rule.head.positive:
+    label, antecedent, kind, head = rule.label, rule.antecedent, rule.kind, rule.head
+    if kind is RuleKind.DEFEATER:
+        target = block._negative if head.positive else support._negative
+        return [Rule(label, antecedent, RuleKind.DEFEASIBLE, target)]
+    if head.positive:
         return [
-            Rule(dft_label(rule.label, "+"), rule.antecedent, rule.kind, support),
-            Rule(dft_label(rule.label, "-"), rule.antecedent, rule.kind, block.complement()),
-            Rule(rule.label, frozenset((support,)), rule.kind, rule.head),
+            Rule(dft_label(label, "+"), antecedent, kind, support._positive),
+            Rule(dft_label(label, "-"), antecedent, kind, block._negative),
+            Rule(label, (support._positive,), kind, head),
         ]
     return [
-        Rule(dft_label(rule.label, "-"), rule.antecedent, rule.kind, block),
-        Rule(dft_label(rule.label, "+"), rule.antecedent, rule.kind, support.complement()),
-        Rule(rule.label, frozenset((block,)), rule.kind, rule.head),
+        Rule(dft_label(label, "-"), antecedent, kind, block._positive),
+        Rule(dft_label(label, "+"), antecedent, kind, support._negative),
+        Rule(label, (block._positive,), kind, head),
     ]
 
 
@@ -227,31 +233,37 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     for atom in theory.atoms:
         if atom.name.startswith(minted):
             raise TransformError("already transformed")
+    return _with_report(theory, *_elim_dft(theory))
 
+
+def _elim_dft(theory: Theory) -> tuple[Theory, dict[str, str]]:
     origins: dict[str, str] = {}
     rules: list[Rule] = []
     images: dict[str, list[Rule]] = {}
+    minted: dict[Atom, tuple[Atom, Atom]] = {}  # head atom -> its support and block atoms
     for rule in theory.rules:
-        translated = _dft_images(rule)
-        images[rule.label] = translated
+        atom = rule.head.atom
+        support_block = minted.get(atom)
+        if support_block is None:
+            support_block = minted[atom] = plus_atom(atom), minus_atom(atom)
+        translated = images[rule.label] = _dft_images(rule, *support_block)
         rules.extend(translated)
         origin = f"rule {rule.label}"
         for new_rule in translated:
             if new_rule.label != rule.label:
                 origins[new_rule.label] = origin
-            if new_rule.head.atom.name.startswith(minted):
-                origins.setdefault(str(new_rule.head.atom), origin)
+            if new_rule.head.atom is not atom:  # a minted atom, without arguments
+                origins.setdefault(new_rule.head.atom.name, origin)
 
     superiority: set[tuple[str, str]] = set()
     for sup, inf in sorted(theory.superiority):
         for sup_image in images[sup]:
             for inf_image in images[inf]:
                 sup_head, inf_head = sup_image.head, inf_image.head
-                if sup_head.positive != inf_head.positive and sup_head.atom == inf_head.atom:
+                if sup_head.positive != inf_head.positive and sup_head.atom is inf_head.atom:
                     superiority.add((sup_image.label, inf_image.label))
 
-    result = Theory(theory.facts, tuple(rules), frozenset(superiority))
-    return result, _make_report(theory, result, origins)
+    return Theory(theory.facts, tuple(rules), frozenset(superiority)), origins
 
 
 def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
@@ -274,36 +286,37 @@ def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
         raise TransformError(
             "elim_sup requires superiority only between rules with complementary heads"
         )
+    return _with_report(theory, *_elim_sup(theory))
 
+
+def _elim_sup(theory: Theory) -> tuple[Theory, dict[str, str]]:
     origins: dict[str, str] = {}
-    rules: list[Rule] = [r for r in theory.rules if r.kind == RuleKind.STRICT]
+    rules: list[Rule] = [r for r in theory.rules if r.kind is RuleKind.STRICT]
+    # Label of each rule that is not strict -> its `$ip` and `$im` atoms,
+    # which have no arguments: their names are their spellings.
+    inferiority: dict[str, tuple[Atom, Atom]] = {}
 
     for rule in theory.rules:
-        if rule.kind == RuleKind.STRICT:
+        label, antecedent, kind = rule.label, rule.antecedent, rule.kind
+        if kind is RuleKind.STRICT:
             continue
-        origin = f"rule {rule.label}"
-        not_inf_plus = Literal(inf_plus_atom(rule.label), positive=False)
-        not_inf_minus = Literal(inf_minus_atom(rule.label), positive=False)
-        origins.setdefault(str(not_inf_minus.atom), origin)
+        origin = f"rule {label}"
+        inf_plus, inf_minus = inferiority[label] = inf_plus_atom(label), inf_minus_atom(label)
+        not_inf_plus, not_inf_minus = inf_plus._negative, inf_minus._negative
+        origins.setdefault(inf_minus.name, origin)
         derived: list[Rule]
-        if rule.kind == RuleKind.DEFEASIBLE:
-            origins.setdefault(str(not_inf_plus.atom), origin)
+        if kind is RuleKind.DEFEASIBLE:
+            origins.setdefault(inf_plus.name, origin)
             derived = [
-                Rule(elim_sup_label(rule.label, "a+"), rule.antecedent,
-                     RuleKind.DEFEASIBLE, not_inf_plus),
-                Rule(elim_sup_label(rule.label, "b+"), frozenset((not_inf_plus,)),
-                     RuleKind.DEFEASIBLE, rule.head),
-                Rule(elim_sup_label(rule.label, "a-"), rule.antecedent,
-                     RuleKind.DEFEASIBLE, not_inf_minus),
-                Rule(elim_sup_label(rule.label, "b-"), frozenset((not_inf_minus,)),
-                     RuleKind.DEFEASIBLE, rule.head),
+                Rule(elim_sup_label(label, "a+"), antecedent, kind, not_inf_plus),
+                Rule(elim_sup_label(label, "b+"), (not_inf_plus,), kind, rule.head),
+                Rule(elim_sup_label(label, "a-"), antecedent, kind, not_inf_minus),
+                Rule(elim_sup_label(label, "b-"), (not_inf_minus,), kind, rule.head),
             ]
         else:
             derived = [
-                Rule(elim_sup_label(rule.label, "a-"), rule.antecedent,
-                     RuleKind.DEFEASIBLE, not_inf_minus),
-                Rule(elim_sup_label(rule.label, "b-"), frozenset((not_inf_minus,)),
-                     RuleKind.DEFEATER, rule.head),
+                Rule(elim_sup_label(label, "a-"), antecedent, RuleKind.DEFEASIBLE, not_inf_minus),
+                Rule(elim_sup_label(label, "b-"), (not_inf_minus,), kind, rule.head),
             ]
         rules.extend(derived)
         for new_rule in derived:
@@ -311,26 +324,19 @@ def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
 
     for sup, inf in sorted(theory.superiority):
         origin = f"superiority {sup} > {inf}"
-        plus_rule = Rule(
-            sup_rule_label("+", sup, inf),
-            frozenset((Literal(inf_plus_atom(sup), positive=False),)),
-            RuleKind.DEFEASIBLE,
-            Literal(inf_plus_atom(inf)),
-        )
-        minus_rule = Rule(
-            sup_rule_label("-", sup, inf),
-            frozenset((Literal(inf_minus_atom(sup), positive=False),)),
-            RuleKind.DEFEASIBLE,
-            Literal(inf_minus_atom(inf)),
-        )
+        (sup_plus, sup_minus), (inf_plus, inf_minus) = inferiority[sup], inferiority[inf]
+        plus_rule = Rule(sup_rule_label("+", sup, inf), (sup_plus._negative,),
+                         RuleKind.DEFEASIBLE, inf_plus._positive)
+        minus_rule = Rule(sup_rule_label("-", sup, inf), (sup_minus._negative,),
+                          RuleKind.DEFEASIBLE, inf_minus._positive)
         rules.extend((plus_rule, minus_rule))
         origins[plus_rule.label] = origin
         origins[minus_rule.label] = origin
-        for label in (sup, inf):  # a defeater's `$ip` occurs only here
-            origins.setdefault(str(inf_plus_atom(label)), f"rule {label}")
+        # A defeater's `$ip` occurs only here.
+        origins.setdefault(sup_plus.name, f"rule {sup}")
+        origins.setdefault(inf_plus.name, f"rule {inf}")
 
-    result = Theory((), tuple(rules), frozenset())
-    return result, _make_report(theory, result, origins)
+    return Theory((), tuple(rules), frozenset()), origins
 
 
 def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
@@ -338,9 +344,13 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
 
     The result has no facts, no defeaters and an empty superiority relation
     while agreeing with the input on every conclusion over the input's
-    atoms; the engine's reduced mode accepts it.  Input must be ground and
-    well-formed.  The middle stage preserves normal form and well-formedness
-    by construction, and `elim_sup` checks both on its input.
+    atoms; the engine's reduced mode accepts it.  Input must be ground,
+    well-formed and free of generated symbols, checked once, here, in that
+    order.  The stages in between are not checked again, because they hold
+    by construction: `normal` of such an input is normal and well-formed,
+    and `elim_dft` keeps both, since it emits a priority only between
+    translations with complementary heads and a cycle among its priorities
+    would map onto one among those of its input.
     """
     _require_ground(theory, "pipeline")
     wf = check_well_formed(theory)
@@ -348,14 +358,15 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
         problem = "cyclic superiority" if not wf.acyclic else \
             "superiority between rules with non-complementary heads"
         raise TransformError(f"pipeline requires a well-formed theory ({problem})")
+    if theory.has_generated_symbols:
+        raise TransformError("already transformed")
 
-    normalized, report_1 = normal(theory)
-    no_defeaters, report_2 = elim_dft(normalized)
-    result, report_3 = elim_sup(no_defeaters)
+    normalized, origins_1 = _normal(theory)
+    no_defeaters, origins_2 = _elim_dft(normalized)
+    result, origins_3 = _elim_sup(no_defeaters)
 
-    # `elim_sup` renames every rule it gives an `a-` image; their stage-2
-    # labels are not in the result.
-    kept_2 = {symbol: origin for symbol, origin in report_2.origins.items()
-              if elim_sup_label(symbol, "a-") not in report_3.origins}
-    origins = {**report_3.origins, **kept_2, **report_1.origins}
-    return result, _make_report(theory, result, origins)
+    # `elim_sup` renames every rule that is not strict; their stage-2 labels
+    # are not in the result.
+    renamed = {r.label for r in no_defeaters.rules if r.kind is not RuleKind.STRICT}
+    kept_2 = {symbol: origin for symbol, origin in origins_2.items() if symbol not in renamed}
+    return _with_report(theory, result, {**origins_3, **kept_2, **origins_1})

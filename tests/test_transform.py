@@ -22,6 +22,7 @@ from deflog import (
     normal,
     parse,
     pipeline,
+    print_theory,
     theory_union,
 )
 from deflog.analysis import gen_theory
@@ -207,6 +208,39 @@ class TestPipeline:
         with pytest.raises(TransformError, match="well-formed"):
             pipeline(parse("r1: => p. r2: => ~p. r1 > r2. r2 > r1."))
 
+    @pytest.mark.parametrize("source, message", [
+        # Checked once, in this order: ground, well-formed, no generated
+        # symbols (see `test_rejects_transformed_input`).
+        ("r: q(X) => p(X). s: => q(a).", "pipeline requires a ground theory"),
+        ("r: q(X) => p(X). s: => ~p(a). r > s. s > r.", "pipeline requires a ground theory"),
+        ("r1: => $p(x). r2: => ~$p(x). r1 > r2. r2 > r1.",
+         "pipeline requires a well-formed theory (cyclic superiority)"),
+        ("r1: => $p(x). r2: => q. r1 > r2.", "pipeline requires a well-formed theory "
+         "(superiority between rules with non-complementary heads)"),
+    ], ids=["schema", "cyclic-schema", "cyclic-generated", "non-complementary-generated"])
+    def test_error_contract(self, source, message):
+        with pytest.raises(TransformError) as error:
+            pipeline(parse(source, allow_generated=True))
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("stage", [normal, elim_dft, elim_sup, pipeline])
+    def test_rejects_transformed_input(self, example3, stage):
+        with pytest.raises(TransformError, match="^already transformed$"):
+            pipeline(stage(example3)[0])
+
+    def test_middle_stage_holds_what_pipeline_no_longer_checks(self, pipeline_pool):
+        # `pipeline` checks its input only; its stages rely on these.
+        minted = ("$pl(", "$mi(")
+        for seed, (theory, out, _) in enumerate(pipeline_pool):
+            normalized = normal(theory)[0]
+            assert not any(a.name.startswith(minted) for a in normalized.atoms), f"seed {seed}"
+            middle = elim_dft(normalized)[0]
+            assert middle.is_ground, f"seed {seed}"
+            assert check_normal(middle).ok, f"seed {seed}"
+            assert check_well_formed(middle).ok, f"seed {seed}"
+            for stage in (normalized, middle, out):
+                assert all(str(a) == a.name for a in stage.atoms if a.generated), f"seed {seed}"
+
     def test_output_passes_normal_check(self, example3):
         out, _ = pipeline(example3)
         report = check_normal(out)
@@ -224,6 +258,28 @@ class TestPipeline:
 def seeded_well_formed(seed: int) -> Theory:
     return gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2, defeater_fraction=0.2,
                       strict_fraction=0.3, sup_density=0.25, force_well_formed=True)
+
+
+def render_stages() -> str:
+    """Each pass's printed output and ordered origins, as `golden/stages.txt`
+    holds them.  Seed 33 has facts, strict rules, defeaters and superiority
+    pairs with a defeater on either side; `elim_sup` runs on its normal form."""
+    seeded = seeded_well_formed(33)
+    cases = (("example3", load("example3.dfl"), load("example3.dfl")),
+             ("seed 33", seeded, normal(seeded)[0]))
+    sections = []
+    for name, theory, normalized in cases:
+        for stage, (out, report) in (("normal", normal(theory)), ("elim_dft", elim_dft(theory)),
+                                     ("elim_sup", elim_sup(normalized)),
+                                     ("pipeline", pipeline(theory))):
+            origins = "".join(f"{symbol} <- {origin}\n"
+                              for symbol, origin in report.origins.items())
+            sections.append(f"== {name} {stage}\n{print_theory(out)}-- origins\n{origins}")
+    return "".join(sections)
+
+
+def test_stages_match_golden():
+    assert render_stages() == (Path(__file__).parent / "golden" / "stages.txt").read_text()
 
 
 @pytest.mark.parametrize("stages", [(normal,), (normal, elim_dft), (normal, elim_dft, elim_sup),
