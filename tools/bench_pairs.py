@@ -1,12 +1,14 @@
 """Alternated A/B runs of the benchmark: a base commit against the working tree.
 
-    python3 tools/bench_pairs.py --workload W --seed N [--pairs 10] [--base HEAD]
-                                 [--seconds 35]
+    python3 tools/bench_pairs.py --workload W --seed N --base REF [--pairs 10]
 
-Exports `--base` with `git archive` into a temporary directory, then runs
+Exits with an error if the working tree's tracked files equal `REF`, since
+the runs would compare the same code with itself.  Otherwise exports `REF`
+with `git archive` into a temporary directory, then runs
 `bench/run.py --workload W --seed S --seconds T` there and in the working
-tree, one after the other, for each pair; pair i uses seed N + i on both
-sides, and the side that runs first alternates.  Each side runs its own
+tree, one after the other, for each pair; T is `run_seconds` of
+`BENCHMARK.json`, pair i uses seed N + i on both sides, and the side that
+runs first alternates.  At least 10 pairs are run.  Each side runs its own
 `bench/run.py` on its own sources.  Prints every run, then per end-to-end
 metric of `BENCHMARK.json` each side's median and quartiles and the pairs
 the working tree won (ties count for neither), and deletes the directory.
@@ -25,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10
 
 
 def export(ref: str, into: Path) -> None:
@@ -64,12 +67,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--base", default="HEAD", help="git ref to compare against")
-    parser.add_argument("--seconds", type=float, default=35)
+    parser.add_argument("--base", required=True, help="git ref to compare against")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                        help=f"number of pairs, at least {MIN_PAIRS}")
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
+    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", args.base, "--"]).returncode == 0:
+        parser.error(f"the working tree equals {args.base!r}: nothing to compare")
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = contract["end_to_end"]
+    metrics, seconds = contract["end_to_end"], contract["run_seconds"]
 
     base_dir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     pairs: list[tuple[dict, dict]] = []
@@ -80,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            results = {side: run(sides[side], args.workload, seed, args.seconds)
+            results = {side: run(sides[side], args.workload, seed, seconds)
                        for side in order}
             for side in order:
                 result = results[side]
@@ -99,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
 
     last = args.seed + args.pairs - 1
     print(f"\n{args.workload}, {len(pairs)} pairs, seeds {args.seed}-{last}, "
-          f"{args.seconds:g} s runs, base {args.base}: median (quartiles); "
+          f"{seconds:g} s runs, base {args.base}: median (quartiles); "
           "won = pairs the change read better")
     print("| metric | base | change | change/base | won |")
     print("|---|---|---|---|---|")
