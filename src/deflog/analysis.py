@@ -129,7 +129,10 @@ def equivalent(
     All four conclusion sets are compared after restriction to literals
     whose atoms lie in `sigma`.  When `sigma` is omitted it defaults to the
     union of both theories' non-generated atoms, which is the right language
-    for judging a transformation against its input.
+    for judging a transformation against its input.  Atoms are matched by
+    spelling: an argument-less atom named ``g(c)`` matches ``g(c)``, so an
+    atom of `sigma` with arguments that only one theory mentions, such as
+    a defeater-only head that `pipeline` drops, makes the result False.
     """
     if sigma is None:
         sigma = t1.sigma.atoms | t2.sigma.atoms

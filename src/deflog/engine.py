@@ -118,7 +118,8 @@ class ConclusionSet(_Value):
         assert not self.plus_delta & self.minus_partial, "+D and -d must be disjoint"
 
     def restrict(self, atoms: Iterable[Atom | str]) -> ConclusionSet:
-        """Keep only literals over the given atoms."""
+        """Keep only literals over the given atoms, matched by spelling: an
+        argument-less atom named ``g(c)`` matches the atom ``g(c)``."""
         keep = {str(a) for a in atoms}
         return ConclusionSet(*(frozenset(l for l in self._set(tag) if str(l.atom) in keep)
                                for tag in _TAGS))

@@ -10,6 +10,10 @@ Grammar::
     arrow       ::= "->" | "=>" | "~>"
     literal     ::= [ "~" ] atom
     atom        ::= name [ "(" arg { "," arg } ")" ]
+    generated   ::= ( identifier | segment ) { segment | bracket }
+    segment     ::= "$" { "a".."z" } [ "+" | "-" ] [ paren ]
+    paren       ::= "(" { char but "(" ")" newline | paren } ")"     depth <= 3
+    bracket     ::= "[" { char but "[" "]" newline | bracket } "]"   depth <= 2
 
 Comments run from ``%`` to the end of the line.  Names and constant
 arguments are lowercase-initial identifiers; uppercase-initial identifiers
@@ -18,10 +22,19 @@ The strict arrow is ``->``, the defeasible arrow ``=>``, the defeater
 arrow ``~>``.
 
 ``$`` is reserved for symbols minted by the transformation passes and is
-rejected in user input.  Serialized transformed theories can be read back
-with ``allow_generated=True``, which extends names with ``$``-segments
-(``r4$a+``, ``$ip(r5)``, ``$s+(r5,r4)``) and bracketed instance suffixes
-(``r1[platypus]``).
+rejected in user input.  With ``allow_generated=True``, which reads
+transformed theories back, labels and atom names are ``generated`` names
+(``r4$a+``, ``$ip(r5)``, ``$s+(r5,r4)``, ``r1[platypus]``).  A segment
+takes all its letters, its sign and the group after them; a group left open
+on its line or nested deeper is a :class:`ParseError` at its segment's
+``$`` or at the ``[``.  What the passes write stays within these bounds:
+``$p(`` wraps only user atoms (`normal` refuses generated input), ``$pl(``
+and ``$mi(`` wrap an atom once (`elim_dft` refuses its own atoms), and
+``$ip(`` and ``$im(`` wrap labels of rules that are not strict, whose only
+parentheses come from ``$s+(…)`` and ``$s-(…)``, minted only from the
+superiority pairs that `elim_sup` empties.  ``$f(`` and ``$b(`` labels stay
+on strict rules, and `ground`'s instance labels do not nest.  So
+``$pl($p(p(c)))`` and ``$pl($ip($s+(r1,r2)))`` are the deepest names.
 
 Reading is built for the large outputs of the transformation passes.  The
 whole source is lexed by one ``re.findall`` call that returns the token
@@ -71,15 +84,7 @@ class ParseError(DeflogError):
 # token text is its only capture.  (Comments are captured and dropped because
 # a repeated group in front of every token makes lexing a third slower.)  A
 # character no token starts with begins a match that runs to the end of the
-# text, so `findall` stops there.  `_tokens` then finishes a name that the
-# pattern could not, using the character-level scanner: a group nested deeper
-# than the pattern handles, an unterminated group, or a non-ASCII letter in a
-# `$`-segment.  Otherwise it raises.  The pattern never backtracks into a
-# `$`-segment.  Its letters and sign are matched whole, and a segment that
-# is followed by `(` must take the group.  Lexing resumes after such a name
-# with a second pattern, which matches the rest of the text outside the
-# capture: `findall` returns an empty token there instead of a copy of the
-# rest, which would make many such names cost quadratic time.
+# text, so `findall` stops there, and `_tokens` raises at that character.
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _PAREN_GROUP = r"\([^()\n]*(?:\([^()\n]*(?:\([^()\n]*\)[^()\n]*)*\)[^()\n]*)*\)"  # depth <= 3
 _BRACKET_GROUP = r"\[[^\[\]\n]*(?:\[[^\[\]\n]*\][^\[\]\n]*)*\]"  # depth <= 2
@@ -88,26 +93,23 @@ _GENERATED_NAME = rf"(?:{_NAME}|{_DOLLAR_SEGMENT})(?:{_DOLLAR_SEGMENT}|{_BRACKET
 
 
 @functools.cache
-def _lexer(allow_generated: bool) -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
-    """The token, resuming and name patterns of a mode, compiled on first
-    use: the generated-name pattern is the costly one, and only reading
-    transformed theories needs it."""
+def _lexer(allow_generated: bool) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The token and name patterns of a mode, compiled on first use: the
+    generated-name pattern is the costly one, and only reading transformed
+    theories needs it."""
     name = _GENERATED_NAME if allow_generated else _NAME
     token = rf"{name}|[-=~]>|[~,:.>()]|%[^\n]*"
-    return (re.compile(rf"[ \t\r\n]*({token}|\Z|.+)", re.DOTALL),
-            re.compile(rf"[ \t\r\n]*(?:({token})|.+)", re.DOTALL), re.compile(name))
+    return re.compile(rf"[ \t\r\n]*({token}|\Z|.+)", re.DOTALL), re.compile(name)
 
 
-_BLANKS = frozenset(" \t\r\n")
-_HEAD = re.compile(rf"{_NAME}|")
 _SKIP = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
 _PUNCT = frozenset(("->", "=>", "~>", "~", ",", ":", ".", ">", "(", ")", ""))
-_GROUP_STOPS = {"(": re.compile(r"[()\n]"), "[": re.compile(r"[\[\]\n]")}
 _ERRORS = {
     "-": "stray '-' (expected '->')",
     "=": "stray '=' (expected '=>')",
     "$": "'$' is reserved for generated symbols",
 }
+_GROUPS = {"$": ("(", 3), "[": ("[", 2)}  # the group a generated name opens, its depth
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -120,84 +122,25 @@ def _tokens(text: str, allow_generated: bool) -> list[str]:
     token.  A token's kind follows from its text: `_PUNCT` holds every
     token that is not a name.  Raises on the first character no token can
     start with."""
-    pattern, resume, name = _lexer(allow_generated)
-    comments = "%" in text
+    pattern, name = _lexer(allow_generated)
     found = pattern.findall(text)
-    if comments:
+    if "%" in text:
         found = [token for token in found if token[:1] != "%"]
     if len(found) > 1 and not found[-2]:
         found.pop()  # a second EOF match, after trailing blanks
     last = found[-2] if len(found) > 1 else ""
     if last in _PUNCT or name.fullmatch(last):
         return found
-    # `last` runs from a character no token starts with to the end.
-    start = len(text) - len(last)
-    del found[-2:]
-    tokens: list[str] = []
-    stop = len(text.rstrip(" \t\r\n"))  # trailing blanks would fail to match
-    while True:
-        head = end = start
-        if allow_generated:
-            if found and found[-1] not in _PUNCT and text[start - 1] not in _BLANKS:
-                head -= len(found.pop())  # the name the pattern stopped short in
-            if head < start or text[start] == "$":
-                end = _generated_suffix_end(text, _HEAD.match(text, head).end())
-        if end == start:
-            raise _error_at(text, start, _ERRORS.get(
-                text[start], f"unexpected character {text[start]!r}"))
-        tokens += found
-        tokens.append(text[head:end])
-        found = resume.findall(text, end, stop)
-        if comments:
-            found = [token for token in found if token[:1] != "%"]
-        if not found or found[-1]:
-            return tokens + found + [""]
-        # The empty token stands for a character no token starts with, which
-        # the tokens since the scanned name place: each is re-read once.
-        found.pop()
-        start = _token_start(text, found, len(found), end)
-
-
-def _token_start(text: str, tokens: list[str], index: int, pos: int = 0) -> int:
-    """Offset of `tokens[index]` in `text`, found by re-scanning from `pos`,
-    where `tokens` start."""
-    skip = _SKIP.match
-    for token in tokens[:index]:
-        pos = skip(text, pos).end() + len(token)
-    return skip(text, pos).end()
-
-
-def _generated_suffix_end(text: str, pos: int) -> int:
-    """End of the `$`-segments and bracketed instance suffixes at `pos`: a
-    segment is `$`, lowercase letters, an optional sign and an optional
-    parenthesised group."""
-    while text.startswith(("$", "["), pos):
-        if text[pos] == "$":
-            pos += 1
-            while pos < len(text) and text[pos].islower():
-                pos += 1
-            if text.startswith(("+", "-"), pos):
-                pos += 1
-            if not text.startswith("(", pos):
-                continue
-        pos = _group_end(text, pos)
-    return pos
-
-
-def _group_end(text: str, pos: int) -> int:
-    """End of the balanced group opening at `pos`; groups stay on one line."""
-    open_ch = text[pos]
-    stops = _GROUP_STOPS[open_ch]
-    depth = 0
-    while True:
-        m = stops.search(text, pos)
-        if m is None or m.group() == "\n":
-            raise _error_at(text, m.start() if m else len(text),
-                            f"unterminated {open_ch!r} group")
-        depth += 1 if m.group() == open_ch else -1
-        pos = m.end()
-        if depth == 0:
-            return pos
+    # `last` runs from a character no token starts with to the end.  A `$`
+    # or a `[` right after a name stops a generated name only at a bad group.
+    pos = len(text) - len(last)
+    char = text[pos]
+    if allow_generated and (char == "$" or char == "[" and pos and
+                            text[pos - 1] not in " \t\r\n" and found[-3] not in _PUNCT):
+        group, depth = _GROUPS[char]
+        raise _error_at(text, pos, f"malformed generated symbol: {group!r} groups close"
+                        f" on their own line and nest at most {depth} deep")
+    raise _error_at(text, pos, _ERRORS.get(char, f"unexpected character {char!r}"))
 
 
 def _reader(
@@ -206,11 +149,12 @@ def _reader(
     """The error and literal helpers over the tokens of `text`."""
 
     def error(message: str, index: int) -> ParseError:
-        return _error_at(text, _token_start(text, tokens, index), message)
+        pos = 0  # the offset of `tokens[index]`, found by re-scanning
+        for token in tokens[:index]:
+            pos = _SKIP.match(text, pos).end() + len(token)
+        return _error_at(text, _SKIP.match(text, pos).end(), message)
 
-    # Each distinct atom is looked up in `Atom` once per parse, then found
-    # here by its name, or by its name and arguments, as its two literals.
-    atoms: dict = {}
+    atoms: dict = {}  # name, or name and arguments -> the atom's two literals
 
     def literal(i: int) -> tuple[Literal, int]:
         """The literal starting at token `i`, and the index after it."""

@@ -7,9 +7,9 @@ input's own language:
   reasoning.  Strict rules are duplicated into a primed copy that does the
   definite work and a defeasible twin that keeps the original label; primed
   conclusions flow back through one strict bridge rule per affected literal.
-* :func:`elim_dft` eliminates defeaters.  Each atom at stake gains a support
-  atom and a block atom; defeaters translate into defeasible rules that can
-  only attack the block atom, never support anything.
+* :func:`elim_dft` eliminates defeaters.  Each rule's head atom gains a
+  support atom and a block atom; a defeater translates into a defeasible
+  rule that attacks the one backing the opposite conclusion, and no other.
 * :func:`elim_sup` empties the superiority relation.  Each rule gains a pair
   of inferiority atoms, one usable for counterattack and one that also covers
   defeaters; declared priorities become rules that propagate inferiority.

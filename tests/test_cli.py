@@ -206,6 +206,13 @@ class TestConclusions:
         assert code == 2
         assert "reserved" in err
 
+    def test_malformed_generated_symbol_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "gen.dfl"
+        f.write_text("r: => $p($p($p($p(a)))).\n")
+        code, _, err = run(capsys, "conclusions", str(f), "--allow-generated")
+        assert code == 2
+        assert "1:7: malformed generated symbol" in err
+
     def test_schema_without_ground_flag_exit_3(self, capsys):
         code, _, err = run(capsys, "conclusions", EXAMPLE1)
         assert code == 3

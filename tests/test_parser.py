@@ -1,12 +1,10 @@
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deflog import (
-    Atom, Literal, ParseError, RuleKind, Theory, elim_dft, ground, normal, parse, pipeline,
-    print_theory,
+    Atom, Literal, ParseError, RuleKind, Theory, elim_dft, elim_sup, ground, normal, parse,
+    pipeline, print_theory,
 )
 from deflog.parser import parse_atoms
 from deflog.analysis import gen_theory
@@ -116,6 +114,12 @@ class TestErrors:
             parse("r: a - b.")
 
 
+_BAD_PAREN = ("malformed generated symbol: '(' groups close on their own line"
+              " and nest at most 3 deep")
+_BAD_BRACKET = ("malformed generated symbol: '[' groups close on their own line"
+                " and nest at most 2 deep")
+
+
 @pytest.mark.parametrize("source, allow_generated, message", [
     ("r: a - b.", False, "1:6: stray '-' (expected '->')"),
     ("r: a = b.", False, "1:6: stray '=' (expected '=>')"),
@@ -126,25 +130,26 @@ class TestErrors:
     ("r$x: => p.", False, "1:2: '$' is reserved for generated symbols"),
     ("r1[x]: => p.", False, "1:3: unexpected character '['"),
     ("[x]: => p.", True, "1:1: unexpected character '['"),
-    ("r: => $p(a.\nq.", True, "1:12: unterminated '(' group"),
-    ("r: => $s+($f(a),r.", True, "1:19: unterminated '(' group"),
-    ("r1[x: => p.", True, "1:12: unterminated '[' group"),
+    ("r: => $p(a.\nq.", True, f"1:7: {_BAD_PAREN}"),
+    ("r: => $s+($f(a),r.", True, f"1:7: {_BAD_PAREN}"),
+    ("r1[x: => p.", True, f"1:3: {_BAD_BRACKET}"),
     ("% a comment with $ and [ and -\n"
      "r1: => p.  % $ is fine here\n"
      "\n"
      "  r2: p\t=  q.\n", False, "4:9: stray '=' (expected '=>')"),
     ("% header\nr$a+: => p.\n  r2: => $p(q) ~\n", True, "3:16: expected '.'"),
-    # Generated names nested deeper than the lexer's pattern handles, closed
-    # and unterminated, and a non-ASCII lowercase letter in a `$`-segment.
-    ("r: => $p($p($p($p(a)))) ~\n", True, "1:25: expected '.'"),
-    ("r: => $s-(a,$p($p($p(b))))$x((((c)))) ~", True, "1:39: expected '.'"),
-    ("r1[x[y[z]]] => p.", True, "1:13: expected '.'"),
+    # Generated names nested deeper than the grammar allows, closed and
+    # unterminated, fail at the `$` or `[` that opens the bad group; a
+    # non-ASCII letter ends a `$`-segment.
+    ("r: => $p($p($p($p(a)))) ~\n", True, f"1:7: {_BAD_PAREN}"),
+    ("r: => $s-(a,$p($p($p(b))))$x((((c)))) ~", True, f"1:7: {_BAD_PAREN}"),
+    ("r1[x[y[z]]] => p.", True, f"1:3: {_BAD_BRACKET}"),
     ("r$x$s+($p($p($p($p(a)))),r1[a[b[c]]]): => p.\n$p(q) > r$x.", True,
-     "2:1: unknown label '$p(q)'"),
-    ("r: => $pé(a) ~", True, "1:14: expected '.'"),
-    ("r: => $p($p($p($p(a))).\nq.", True, "1:24: unterminated '(' group"),
-    ("r: => $p((((((a\n", True, "1:16: unterminated '(' group"),
-    ("r1[x[y[z]]: => p.", True, "1:18: unterminated '[' group"),
+     f"1:4: {_BAD_PAREN}"),
+    ("r: => $pé(a) ~", True, "1:9: unexpected character 'é'"),
+    ("r: => $p($p($p($p(a))).\nq.", True, f"1:7: {_BAD_PAREN}"),
+    ("r: => $p((((((a\n", True, f"1:7: {_BAD_PAREN}"),
+    ("r1[x[y[z]]: => p.", True, f"1:3: {_BAD_BRACKET}"),
     ("r: => p.\n% $p(((( [[[[\nq &", True, "3:3: unexpected character '&'"),
 ])
 def test_error_positions(source, allow_generated, message):
@@ -191,25 +196,12 @@ class TestPrint:
         assert parse(text, allow_generated=True) == example1_ground
 
     def test_deeply_nested_generated_name(self):
-        (rule,) = parse("r[a[b[c]]]: => $p($p($p($p(a)))).", allow_generated=True).rules
-        assert rule.label == "r[a[b[c]]]"
-        assert rule.head.atom.name == "$p($p($p($p(a))))"
-
-    def test_names_too_deep_for_the_pattern_lex_in_linear_time(self):
-        # Depth 4 goes to the character scanner, once per name; the text
-        # after each such name must not be copied or lexed again.
-        def source(depth: int) -> str:
-            return "".join(f"r{i}: => {'$p(' * depth}a{i}{')' * depth}.\n"
-                           for i in range(16_000))
-
-        def seconds(text: str) -> float:
-            start = time.perf_counter()
-            parse(text, allow_generated=True)
-            return time.perf_counter() - start
-
-        shallow, deep = source(3), source(4)
-        runs = [(seconds(shallow), seconds(deep)) for _ in range(3)]
-        assert min(d for _, d in runs) <= 5 * min(s for s, _ in runs)
+        (rule,) = parse("r[a[b]]: => $p($p($p(a))).", allow_generated=True).rules
+        assert rule.label == "r[a[b]]"
+        assert rule.head.atom.name == "$p($p($p(a)))"
+        with pytest.raises(ParseError) as err:
+            parse("r[a[b[c]]]: => $p($p($p($p(a)))).", allow_generated=True)
+        assert str(err.value) == f"1:2: {_BAD_BRACKET}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,11 +220,38 @@ def test_print_is_stable_under_reparse(seed):
     assert print_theory(parse(printed)) == printed
 
 
+def _depth(symbol: str, opening: str, closing: str) -> int:
+    depth = deepest = 0
+    for char in symbol:
+        depth += (char == opening) - (char == closing)
+        deepest = max(deepest, depth)
+    return deepest
+
+
 def _assert_round_trips(theory):
+    """`theory` prints, re-parses equal and prints the same again, and no
+    atom or label nests groups deeper than generated names may."""
     text = print_theory(theory)
     reread = parse(text, allow_generated=True)
     assert reread == theory
     assert print_theory(reread) == text
+    for symbol in [*map(str, theory.atoms), *theory.labels]:
+        assert _depth(symbol, "(", ")") <= 3 and _depth(symbol, "[", "]") <= 2, symbol
+
+
+def _deepest_chain(theory):
+    """The pass chain that nests generated names deepest."""
+    return elim_dft(elim_sup(elim_sup(normal(theory)[0])[0])[0])
+
+
+def test_deepest_generated_names():
+    out, _ = _deepest_chain(parse("p(c). r1: => q. r2: => ~q. r1 > r2."))
+    _assert_round_trips(out)
+    for name in ("$pl($p(p(c)))", "$pl($ip($s+(r1,r2)))"):
+        assert Atom(name) in out.atoms and _depth(name, "(", ")") == 3
+        with pytest.raises(ParseError) as err:
+            parse(f"r: => $p({name}).", allow_generated=True)
+        assert str(err.value) == f"1:7: {_BAD_PAREN}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,7 +259,7 @@ def _assert_round_trips(theory):
 def test_round_trip_transformed_theories(seed):
     t = gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2, defeater_fraction=0.25,
                    strict_fraction=0.25, sup_density=0.2, force_well_formed=True)
-    for stage in (normal, elim_dft, pipeline):
+    for stage in (normal, elim_dft, pipeline, _deepest_chain):
         _assert_round_trips(stage(t)[0])
 
 
@@ -274,7 +293,7 @@ def test_round_trip_grounded_schemas(source):
     grounded = ground(parse(source))
     assert all("[" in rule.label for rule in grounded.rules)
     _assert_round_trips(grounded)
-    for stage in (normal, elim_dft, pipeline):
+    for stage in (normal, elim_dft, pipeline, _deepest_chain):
         _assert_round_trips(stage(grounded)[0])
 
 
