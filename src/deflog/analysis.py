@@ -174,20 +174,27 @@ def gen_theory(
     restricts pairs to one triangular half of the label grid so the relation
     is acyclic by construction; `force_well_formed` additionally keeps only
     pairs between rules with complementary heads; `force_normalized` applies
-    the normalization pass to the finished theory.
+    the normalization pass to the finished theory.  The fractions and
+    `sup_density` must lie in [0, 1]; a ValueError says which does not.
+    Only the atoms drawn are built, so `num_atoms` costs nothing by itself.
     """
     if num_atoms <= 0:
         raise ValueError("num_atoms must be positive")
     if num_rules < 0 or num_facts < 0:
         raise ValueError("rule and fact counts must be nonnegative")
+    for name, fraction in (("sup_density", sup_density),
+                           ("defeater_fraction", defeater_fraction),
+                           ("strict_fraction", strict_fraction)):
+        if not 0 <= fraction <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], not {fraction}")
     if sup_density > 0 and num_rules == 0:
         raise ValueError("superiority pairs requested but zero rules")
 
     rng = random.Random(seed)
-    atoms = [Atom(_atom_name(i)) for i in range(num_atoms)]
 
     def random_literal() -> Literal:
-        return Literal(rng.choice(atoms), rng.random() < 0.5)
+        # `randrange(n)` draws as `choice` of n items does: seeds keep their theories.
+        return Literal(Atom(_atom_name(rng.randrange(num_atoms))), rng.random() < 0.5)
 
     facts = tuple(dict.fromkeys(random_literal() for _ in range(num_facts)))
 

@@ -19,8 +19,8 @@ constants occurring anywhere in the theory.
 
 Symbols introduced by the transformation passes live in a reserved namespace
 marked by ``$``, which the input grammar forbids in user identifiers, so
-generated names can never collide with user names.  The spelling helpers at
-the bottom of this module are the single source of truth for that namespace.
+generated names can never collide with user names.  This module only
+recognises them; :mod:`deflog.transform` spells each one where it mints it.
 """
 
 from __future__ import annotations
@@ -423,11 +423,6 @@ def check_normal(theory: Theory) -> NormalFormReport:
     )
 
 
-def instance_label(label: str, values: tuple[str, ...]) -> str:
-    """Label of a schema instance: the schema label plus a constant tuple."""
-    return f"{label}[{','.join(values)}]"
-
-
 def ground(theory: Theory) -> Theory:
     """Expand every rule schema over the constants of the theory.
 
@@ -485,14 +480,16 @@ def ground(theory: Theory) -> Theory:
 
 def _instances(rule: Rule, variables: list[str], constants: list[str]) -> Iterator[Rule]:
     """The instances of schema `rule`, one per assignment of `constants` to
-    its sorted `variables`, in the order of `itertools.product`."""
+    its sorted `variables`, in the order of `itertools.product`.  An
+    instance's label is the schema's plus its constants: ``r[a,b]``."""
+    label = rule.label
     templates = [(lit.atom.name, lit.atom.args, lit.positive)
                  for lit in (rule.head, *rule.antecedent)]
     for values in itertools.product(constants, repeat=len(variables)):
         binding = dict(zip(variables, values))
         bound = [Literal(Atom(name, tuple(map(binding.get, args, args))), positive)
                  for name, args, positive in templates]
-        yield Rule(instance_label(rule.label, values), bound[1:], rule.kind, bound[0])
+        yield Rule(f"{label}[{','.join(values)}]", bound[1:], rule.kind, bound[0])
 
 
 def theory_union(*theories: Theory) -> Theory:
@@ -540,67 +537,3 @@ class TaggedLiteral(_Value):
 
     def __str__(self) -> str:
         return f"{self.tag.value} {self.literal}"
-
-
-# --- reserved generated-symbol spellings -----------------------------------
-#
-# These spellings are part of the tool's external contract: serialized
-# transformed theories use them verbatim, and they are what golden files
-# assert against.
-
-def primed_atom(atom: Atom) -> Atom:
-    return Atom(f"$p({atom})")
-
-
-def primed_literal(literal: Literal) -> Literal:
-    """Prime mapped through literals: the primed form of ~p is ~(p')."""
-    atom = primed_atom(literal.atom)
-    return atom._positive if literal.positive else atom._negative
-
-
-def fact_rule_label(fact: Literal) -> str:
-    return f"$f({fact})"
-
-
-def bridge_label(literal: Literal) -> str:
-    return f"$b({literal})"
-
-
-def primed_label(label: str) -> str:
-    return f"{label}$p"
-
-
-def inf_plus_atom(label: str) -> Atom:
-    return Atom(f"$ip({label})")
-
-
-def inf_minus_atom(label: str) -> Atom:
-    return Atom(f"$im({label})")
-
-
-def sup_rule_label(sign: str, superior: str, inferior: str) -> str:
-    return f"$s{sign}({superior},{inferior})"
-
-
-def elim_sup_label(label: str, part: str) -> str:
-    """Labels of the rules elim_sup derives from one source rule.
-
-    `part` is one of a+, b+, a-, b-.
-    """
-    return f"{label}${part}"
-
-
-_PLUS_PREFIX, _MINUS_PREFIX = "$pl(", "$mi("  # how the atoms `elim_dft` mints begin
-
-
-def plus_atom(atom: Atom) -> Atom:
-    return Atom(f"{_PLUS_PREFIX}{atom})")
-
-
-def minus_atom(atom: Atom) -> Atom:
-    return Atom(f"{_MINUS_PREFIX}{atom})")
-
-
-def dft_label(label: str, sign: str) -> str:
-    """Labels of the support/block rules elim_dft derives: r$+ and r$-."""
-    return f"{label}${sign}"

@@ -1,18 +1,26 @@
 """Conclusion-preserving theory transformations.
 
 Three passes, each of which preserves all conclusions expressible in the
-input's own language:
+input's own language.  Each spells the ``$``-symbols it mints (below, for a
+label ``r``, an atom ``p`` and a literal ``l``) where it mints them:
 
 * :func:`normal` eliminates facts and separates definite from defeasible
-  reasoning.  Strict rules are duplicated into a primed copy that does the
-  definite work and a defeasible twin that keeps the original label; primed
-  conclusions flow back through one strict bridge rule per affected literal.
+  reasoning.  A strict rule ``r`` is duplicated into a primed copy ``r$p``
+  over primed atoms ``$p(p)`` that does the definite work and a defeasible
+  twin that keeps ``r``; a fact ``l`` becomes the rule ``$f(l)``; primed
+  conclusions flow back through one strict bridge rule ``$b(l)`` per
+  affected literal.
 * :func:`elim_dft` eliminates defeaters.  Each rule's head atom gains a
-  support atom and a block atom; a defeater translates into a defeasible
-  rule that attacks the one backing the opposite conclusion, and no other.
-* :func:`elim_sup` empties the superiority relation.  Each rule gains a pair
-  of inferiority atoms, one usable for counterattack and one that also covers
-  defeaters; declared priorities become rules that propagate inferiority.
+  support atom ``$pl(p)`` and a block atom ``$mi(p)``; a rule ``r`` that is
+  not a defeater becomes ``r$+``, ``r$-`` and a linking rule ``r``, and a
+  defeater translates into a defeasible rule that attacks the one backing
+  the opposite conclusion, and no other.
+* :func:`elim_sup` empties the superiority relation.  Each rule ``r`` that
+  is not strict gains a pair of inferiority atoms, ``$ip(r)`` usable for
+  counterattack and ``$im(r)`` that also covers defeaters, and becomes
+  ``r$a+``, ``r$b+`` (if defeasible), ``r$a-`` and ``r$b-``; each declared
+  priority ``s > i`` becomes the rules ``$s+(s,i)`` and ``$s-(s,i)``, which
+  propagate inferiority.
 
 :func:`pipeline` composes the three in that order, yielding a theory with no
 facts, no defeaters and an empty superiority relation, on which the engine's
@@ -38,24 +46,14 @@ from .core import (
     RuleKind,
     Theory,
     _LITERAL_ORDER,
-    _MINUS_PREFIX,
-    _PLUS_PREFIX,
     _assign,
     _Value,
-    bridge_label,
     check_normal,
     check_well_formed,
-    dft_label,
-    elim_sup_label,
-    fact_rule_label,
-    inf_minus_atom,
-    inf_plus_atom,
-    minus_atom,
-    plus_atom,
-    primed_label,
-    primed_literal,
-    sup_rule_label,
 )
+
+# How the atoms `elim_dft` mints begin; its "already transformed" check reads them.
+_PLUS, _MINUS = "$pl(", "$mi("
 
 
 class TransformError(PreconditionError):
@@ -160,10 +158,10 @@ def _normal(theory: Theory) -> tuple[Theory, dict[str, str]]:
             continue
         origin = f"strict rule {rule.label}"
         primed = Rule(
-            primed_label(rule.label),
-            frozenset(primed_literal(a) for a in rule.antecedent),
+            f"{rule.label}$p",
+            frozenset(_primed(a) for a in rule.antecedent),
             RuleKind.STRICT,
-            primed_literal(rule.head),
+            _primed(rule.head),
         )
         rules.append(primed)
         rules.append(Rule(rule.label, rule.antecedent, RuleKind.DEFEASIBLE, rule.head))
@@ -176,20 +174,25 @@ def _normal(theory: Theory) -> tuple[Theory, dict[str, str]]:
 
     for fact in theory.facts:
         origin = f"fact {fact}"
-        fact_rule = Rule(fact_rule_label(fact), frozenset(),
-                         RuleKind.STRICT, primed_literal(fact))
+        fact_rule = Rule(f"$f({fact})", frozenset(), RuleKind.STRICT, _primed(fact))
         rules.append(fact_rule)
         origins[fact_rule.label] = origin
         origins.setdefault(fact_rule.head.atom.name, origin)
         bridge_literals.setdefault(fact, origin)
 
     for literal in sorted(bridge_literals, key=str):
-        bridge = Rule(bridge_label(literal), frozenset((primed_literal(literal),)),
+        bridge = Rule(f"$b({literal})", frozenset((_primed(literal),)),
                       RuleKind.STRICT, literal)
         rules.append(bridge)
         origins[bridge.label] = bridge_literals[literal]
 
     return Theory((), tuple(rules), theory.superiority), origins
+
+
+def _primed(literal: Literal) -> Literal:
+    """Prime mapped through literals: the primed form of ~p is ~(p')."""
+    atom = Atom(f"$p({literal.atom})")
+    return atom._positive if literal.positive else atom._negative
 
 
 def _dft_images(rule: Rule, support: Atom, block: Atom) -> list[Rule]:
@@ -207,15 +210,16 @@ def _dft_images(rule: Rule, support: Atom, block: Atom) -> list[Rule]:
     if kind is RuleKind.DEFEATER:
         target = block._negative if head.positive else support._negative
         return [Rule(label, antecedent, RuleKind.DEFEASIBLE, target)]
+    plus, minus = f"{label}$+", f"{label}$-"
     if head.positive:
         return [
-            Rule(dft_label(label, "+"), antecedent, kind, support._positive),
-            Rule(dft_label(label, "-"), antecedent, kind, block._negative),
+            Rule(plus, antecedent, kind, support._positive),
+            Rule(minus, antecedent, kind, block._negative),
             Rule(label, (support._positive,), kind, head),
         ]
     return [
-        Rule(dft_label(label, "-"), antecedent, kind, block._positive),
-        Rule(dft_label(label, "+"), antecedent, kind, support._negative),
+        Rule(minus, antecedent, kind, block._positive),
+        Rule(plus, antecedent, kind, support._negative),
         Rule(label, (block._positive,), kind, head),
     ]
 
@@ -229,9 +233,8 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     unrelated heads would have no effect on inference and are not emitted.
     """
     _require_ground(theory, "elim_dft")
-    minted = (_PLUS_PREFIX, _MINUS_PREFIX)
     for atom in theory.atoms:
-        if atom.name.startswith(minted):
+        if atom.name.startswith((_PLUS, _MINUS)):
             raise TransformError("already transformed")
     return _with_report(theory, *_elim_dft(theory))
 
@@ -245,7 +248,7 @@ def _elim_dft(theory: Theory) -> tuple[Theory, dict[str, str]]:
         atom = rule.head.atom
         support_block = minted.get(atom)
         if support_block is None:
-            support_block = minted[atom] = plus_atom(atom), minus_atom(atom)
+            support_block = minted[atom] = Atom(f"{_PLUS}{atom})"), Atom(f"{_MINUS}{atom})")
         translated = images[rule.label] = _dft_images(rule, *support_block)
         rules.extend(translated)
         origin = f"rule {rule.label}"
@@ -301,23 +304,20 @@ def _elim_sup(theory: Theory) -> tuple[Theory, dict[str, str]]:
         if kind is RuleKind.STRICT:
             continue
         origin = f"rule {label}"
-        inf_plus, inf_minus = inferiority[label] = inf_plus_atom(label), inf_minus_atom(label)
+        inf_plus, inf_minus = inferiority[label] = Atom(f"$ip({label})"), Atom(f"$im({label})")
         not_inf_plus, not_inf_minus = inf_plus._negative, inf_minus._negative
         origins.setdefault(inf_minus.name, origin)
-        derived: list[Rule]
+        derived: list[Rule] = []
         if kind is RuleKind.DEFEASIBLE:
             origins.setdefault(inf_plus.name, origin)
-            derived = [
-                Rule(elim_sup_label(label, "a+"), antecedent, kind, not_inf_plus),
-                Rule(elim_sup_label(label, "b+"), (not_inf_plus,), kind, rule.head),
-                Rule(elim_sup_label(label, "a-"), antecedent, kind, not_inf_minus),
-                Rule(elim_sup_label(label, "b-"), (not_inf_minus,), kind, rule.head),
+            derived += [
+                Rule(f"{label}$a+", antecedent, kind, not_inf_plus),
+                Rule(f"{label}$b+", (not_inf_plus,), kind, rule.head),
             ]
-        else:
-            derived = [
-                Rule(elim_sup_label(label, "a-"), antecedent, RuleKind.DEFEASIBLE, not_inf_minus),
-                Rule(elim_sup_label(label, "b-"), (not_inf_minus,), kind, rule.head),
-            ]
+        derived += [
+            Rule(f"{label}$a-", antecedent, RuleKind.DEFEASIBLE, not_inf_minus),
+            Rule(f"{label}$b-", (not_inf_minus,), kind, rule.head),
+        ]
         rules.extend(derived)
         for new_rule in derived:
             origins[new_rule.label] = origin
@@ -325,9 +325,9 @@ def _elim_sup(theory: Theory) -> tuple[Theory, dict[str, str]]:
     for sup, inf in sorted(theory.superiority):
         origin = f"superiority {sup} > {inf}"
         (sup_plus, sup_minus), (inf_plus, inf_minus) = inferiority[sup], inferiority[inf]
-        plus_rule = Rule(sup_rule_label("+", sup, inf), (sup_plus._negative,),
+        plus_rule = Rule(f"$s+({sup},{inf})", (sup_plus._negative,),
                          RuleKind.DEFEASIBLE, inf_plus._positive)
-        minus_rule = Rule(sup_rule_label("-", sup, inf), (sup_minus._negative,),
+        minus_rule = Rule(f"$s-({sup},{inf})", (sup_minus._negative,),
                           RuleKind.DEFEASIBLE, inf_minus._positive)
         rules.extend((plus_rule, minus_rule))
         origins[plus_rule.label] = origin

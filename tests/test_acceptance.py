@@ -35,7 +35,6 @@ from deflog import (
 )
 from deflog.analysis import gen_theory
 from deflog.cli import main
-from deflog.core import inf_minus_atom
 
 from conftest import BE_SOURCE, DD_SOURCE, DE_SOURCE, GOLDEN, load
 
@@ -127,7 +126,7 @@ def test_criterion_03_golden_example3_elim_sup(example3, capsys):
     assert produced == load("example3.elim_sup.dfl", allow_generated=True)
     c = checked(produced)
     f = Literal(Atom("f"))
-    assert c.has(Tag.PLUS_PARTIAL, Literal(inf_minus_atom("r6"), False))
+    assert c.has(Tag.PLUS_PARTIAL, Literal(Atom("$im(r6)"), False))
     assert c.has(Tag.MINUS_PARTIAL, f)
     assert c.has(Tag.MINUS_PARTIAL, f.complement())
     assert equivalent_checked(example3, produced, example3.sigma.atoms)

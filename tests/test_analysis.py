@@ -146,6 +146,19 @@ class TestGenerator:
         with pytest.raises(ValueError, match="num_atoms"):
             gen_theory(1, num_atoms=0, num_rules=3)
 
+    @pytest.mark.parametrize("name", ["sup_density", "defeater_fraction", "strict_fraction"])
+    @pytest.mark.parametrize("value", [-1.0, 1.5, float("nan")])
+    def test_fractions_outside_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\]"):
+            gen_theory(1, num_atoms=3, num_rules=3, **{name: value})
+
+    def test_mints_only_the_atoms_it_draws(self):
+        # Three rules use at most 3 * (1 + 3) atoms, however many may be drawn.
+        before = len(Atom._shared)
+        theory = gen_theory(1, num_atoms=10**9, num_rules=3)
+        assert len(theory.rules) == 3
+        assert len(Atom._shared) - before <= 12
+
     def test_zero_density_costs_linear_work(self):
         # Python and C calls made by `gen_theory`, counted with
         # `sys.setprofile`: deterministic, unlike a timing.  Linear work

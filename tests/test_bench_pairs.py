@@ -1,6 +1,8 @@
-"""Argument rules of `tools/bench_pairs.py`, checked before it starts any process."""
+"""`tools/bench_pairs.py` with `subprocess` patched, so it starts no process:
+its argument rules, and how it counts a run that prints no result."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -34,3 +36,33 @@ def test_bad_arguments_exit_2_before_any_process(bench_pairs, capsys, argv, comp
         bench_pairs.main(argv)
     assert exit_.value.code == 2
     assert complaint in capsys.readouterr().err
+
+
+def test_run_without_a_result_line_fails_only_its_pair(bench_pairs, monkeypatch, capsys):
+    # The change's first run ends on a line that is not a result, as a
+    # malformed run of the benchmark does; every other run succeeds.
+    result = {"correct": True, "attempted": 5, "failed": 0,
+              "metrics": {"units_per_s": {"value": 10.0, "unit": "1/s"}}}
+    malformed = []
+
+    def fake_run(argv, **kwargs):
+        if argv[:2] == ["git", "-C"]:  # `git diff --quiet`: the trees differ
+            return subprocess.CompletedProcess(argv, 1)
+        seed = int(argv[argv.index("--seed") + 1])
+        last = json.dumps(result)
+        if kwargs["cwd"] == bench_pairs.ROOT and seed == 1:
+            last = "{not a result"
+            malformed.append(seed)
+        return subprocess.CompletedProcess(argv, 0, stdout=f"record: x.json\n{last}\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, into: None)
+    code = bench_pairs.main(["--workload", "props-library", "--seed", "1", "--base", "HEAD"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert malformed == [1]
+    assert "its last line is not a result: {not a result" in out
+    assert "pair 1 seed 1 base: correct=True" in out
+    assert "pair 1 seed 1 change" not in out
+    assert "props-library, 9 pairs, seeds 1-10" in out
+    assert "| `units_per_s` (1/s) | 10 (10-10) | 10 (10-10) | 1.000 | 0/9 |" in out

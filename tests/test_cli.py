@@ -444,6 +444,12 @@ class TestGen:
                         "--defeater-fraction", "0.3")
         parse(out)
 
+    def test_fraction_outside_unit_interval_exit_3(self, capsys):
+        code, out, err = run(capsys, "gen", "--seed", "1", "--sup-density", "1.5")
+        assert code == 3
+        assert out == ""
+        assert "sup_density must lie in [0, 1], not 1.5" in err
+
 
 def test_subcommands_are_deterministic(capsys):
     first = run(capsys, "conclusions", EXAMPLE3)

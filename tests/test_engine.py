@@ -25,7 +25,6 @@ from deflog import (
     replay,
 )
 from deflog.analysis import classify_pair, gen_theory
-from deflog.core import inf_minus_atom, primed_atom
 from deflog.engine import _Solver
 
 from conftest import GOLDEN
@@ -89,7 +88,7 @@ class TestConclusions:
         f = lit("f")
         assert c.has(Tag.MINUS_PARTIAL, f)
         assert c.has(Tag.MINUS_PARTIAL, f.complement())
-        assert c.has(Tag.PLUS_PARTIAL, Literal(inf_minus_atom("r6"), False))
+        assert c.has(Tag.PLUS_PARTIAL, Literal(Atom("$im(r6)"), False))
 
     def test_defeater_blocks_but_never_supports(self):
         c = conclusions(parse("d: ~> p. r: => ~p."))
@@ -364,7 +363,7 @@ class TestReplay:
     def test_hand_built_bridge_derivation(self, example2):
         n, _ = normal(example2)
         e = lit("e")
-        primed_e = Literal(primed_atom(Atom("e")))
+        primed_e = Literal(Atom("$p(e)"))
         two_line = Derivation((
             DerivationLine(TaggedLiteral(Tag.PLUS_DELTA, primed_e),
                            "strict rule fires", ("$f(e)",), ()),

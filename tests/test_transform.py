@@ -254,6 +254,27 @@ class TestPipeline:
             out, report = pipeline(seeded_well_formed(seed))
             assert generated_symbols(out) == set(report.origins), f"seed {seed}"
 
+    def test_calls_per_output_rule(self):
+        # Python-level calls made by `pipeline`, counted as the benchmark's
+        # traced runs count them: deterministic, unlike a timing.  Spelling
+        # each minted name inline costs about 2.5 calls per output rule; a
+        # helper call per name, over 4.
+        theory = gen_theory(1, num_atoms=40, num_rules=200, num_facts=10,
+                            defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.05,
+                            force_well_formed=True)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            out, _ = pipeline(theory)
+        finally:
+            sys.setprofile(None)
+        assert count <= 3 * len(out.rules)
+
 
 def seeded_well_formed(seed: int) -> Theory:
     return gen_theory(seed, num_atoms=5, num_rules=8, num_facts=2, defeater_fraction=0.2,

@@ -12,7 +12,8 @@ runs first alternates.  At least 10 pairs are run.  Each side runs its own
 `bench/run.py` on its own sources.  Prints every run, then per end-to-end
 metric of `BENCHMARK.json` each side's median and quartiles and the pairs
 the working tree won (ties count for neither), and deletes the directory.
-Exits 1 if any run failed or reported a failed operation.
+Exits 1 if any run failed or reported a failed operation; a run whose last
+line is not a result object counts as failed and is left out of the pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
+# The keys of the result object that `bench/run.py` prints as its last line.
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 
 
 def export(ref: str, into: Path) -> None:
@@ -49,7 +52,14 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
     if proc.returncode != 0 or not lines:
         print(f"  run failed in {tree} (exit {proc.returncode}): {proc.stderr.strip()[-300:]}")
         return None
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    if not isinstance(result, dict) or not RESULT_KEYS <= result.keys():
+        print(f"  run failed in {tree}: its last line is not a result: {lines[-1][:300]}")
+        return None
+    return result
 
 
 def number(value: float) -> str:
