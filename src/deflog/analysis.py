@@ -64,7 +64,8 @@ def classify(c: ConclusionSet, literal: Literal) -> Outcome:
         )
         if holds
     ]
-    assert len(matches) == 1, f"outcomes {matches} for {literal}: not a partition"
+    if len(matches) != 1:
+        raise AssertionError(f"outcomes {matches} for {literal}: not a partition")
     return matches[0]
 
 
@@ -175,7 +176,8 @@ def gen_theory(
     is acyclic by construction; `force_well_formed` additionally keeps only
     pairs between rules with complementary heads; `force_normalized` applies
     the normalization pass to the finished theory.  The fractions and
-    `sup_density` must lie in [0, 1]; a ValueError says which does not.
+    `sup_density` must lie in [0, 1], and the fractions sum to at most 1; a
+    ValueError says which does not.
     Only the atoms drawn are built, so `num_atoms` costs nothing by itself.
     """
     if num_atoms <= 0:
@@ -187,6 +189,9 @@ def gen_theory(
                            ("strict_fraction", strict_fraction)):
         if not 0 <= fraction <= 1:
             raise ValueError(f"{name} must lie in [0, 1], not {fraction}")
+    if strict_fraction + defeater_fraction > 1:
+        raise ValueError(f"strict_fraction + defeater_fraction must not exceed 1, "
+                         f"not {strict_fraction} + {defeater_fraction}")
     if sup_density > 0 and num_rules == 0:
         raise ValueError("superiority pairs requested but zero rules")
 

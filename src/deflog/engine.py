@@ -111,11 +111,14 @@ class ConclusionSet(_Value):
 
     def validate(self) -> None:
         """Check the five structural relations; raise AssertionError if broken."""
-        assert self.plus_delta <= self.plus_partial, "+D must imply +d"
-        assert self.minus_partial <= self.minus_delta, "-d must imply -D"
-        assert not self.plus_delta & self.minus_delta, "+D and -D must be disjoint"
-        assert not self.plus_partial & self.minus_partial, "+d and -d must be disjoint"
-        assert not self.plus_delta & self.minus_partial, "+D and -d must be disjoint"
+        for holds, message in (
+                (self.plus_delta <= self.plus_partial, "+D must imply +d"),
+                (self.minus_partial <= self.minus_delta, "-d must imply -D"),
+                (self.plus_delta.isdisjoint(self.minus_delta), "+D and -D must be disjoint"),
+                (self.plus_partial.isdisjoint(self.minus_partial), "+d and -d must be disjoint"),
+                (self.plus_delta.isdisjoint(self.minus_partial), "+D and -d must be disjoint")):
+            if not holds:
+                raise AssertionError(message)
 
     def restrict(self, atoms: Iterable[Atom | str]) -> ConclusionSet:
         """Keep only literals over the given atoms, matched by spelling: an
@@ -209,9 +212,9 @@ class _Solver:
     Per literal there are `fact`, the rules with that head (`rules_for`) and
     the rules with it in their antecedent (`uses`); per rule, its `head`,
     its `body`, whether it is `strict` and whether it `supports` (is not a
-    defeater), and `overrides[t]`, the rules `t` counterattacks: those with
-    the complement of its head that it is declared superior to, when `t`
-    supports.
+    defeater), and `overrides[t]`, the rules `t` counterattacks, ascending:
+    one per declared pair ``t > s``, resolved once; a pair with a defeater
+    superior or with non-complementary heads adds nothing.
 
     Only these tables, the four `derived` sets and the `log` outlive
     :meth:`run`, which keeps its counters in locals.  Every derivation is
@@ -239,14 +242,11 @@ class _Solver:
         self.rules_for = _group(n, zip(head, range(len(rules))))
         self.uses = _group(n, ((a, r) for r, body in enumerate(self.body) for a in body))
 
-        labels = [r.label for r in rules]
-        superiors: dict[str, set[str]] = {}
-        for sup, inf in theory.superiority:
-            superiors.setdefault(inf, set()).add(sup)
-        self.overrides = _group(len(rules), (
-            (t, s) for s, label in enumerate(labels) if label in superiors
-            for t in self.rules_for[head[s] ^ 1]
-            if supports[t] and labels[t] in superiors[label]))
+        number = {r.label: i for i, r in enumerate(rules)} if theory.superiority else {}
+        self.overrides = _group(len(rules), sorted([
+            (t, s) for sup, inf in theory.superiority
+            for t, s in [(number[sup], number[inf])]
+            if supports[t] and head[t] == head[s] ^ 1]))
         self.derived = [bytearray(n) for _ in _TAGS]
         self.log: list[int] = []
 
@@ -477,15 +477,12 @@ def prove(
         x = q << 2 | _TAGS.index(tag)
         return x if seq.get(x, before) < before else None
 
-    def body(r: int) -> list[int]:
-        return sorted(solver.body[r])
-
     rules = theory.rules
     index = _Index(solver.fact.__getitem__, solver.rules_for.__getitem__,
                    (1).__xor__,  # the complement of literal q is q ^ 1
                    solver.strict.__getitem__, solver.supports.__getitem__,
-                   lambda t, s: (rules[t].label, rules[s].label) in theory.superiority,
-                   body, logged)
+                   lambda t, s: s in solver.overrides[t],
+                   lambda r: sorted(solver.body[r]), logged)
     lines: dict[int, tuple[str, list[int], list[int]]] = {}
     stack = [target]
     while stack:
@@ -493,7 +490,8 @@ def prove(
         if x not in lines:
             before = seq[x]
             witness = _witness(index, _TAGS[x & 3], x >> 2)
-            assert witness is not None, f"no condition holds for logged entry {x}"
+            if witness is None:
+                raise AssertionError(f"no condition holds for logged entry {x}")
             lines[x] = witness
             stack += witness[2]
     order = sorted(lines, key=seq.__getitem__)
@@ -528,7 +526,8 @@ class _Index(NamedTuple):
     are its own objects for :func:`replay` and the solver's ids for
     :func:`prove`, and the lines so far.  `line(tag, q)` is the earlier line
     `tag q`, in the caller's form, or None; `body(rule)` lists an antecedent
-    in the order premises are picked in."""
+    in the order premises are picked in.  `superior(t, s)` is asked only for
+    a supporting `t` and an `s` with the complement of `t`'s head."""
 
     fact: Callable[[Any], object]
     rules: Callable[[Any], Sequence]  # with that head, in theory order

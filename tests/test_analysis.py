@@ -7,6 +7,7 @@ from deflog import (
     Literal,
     Outcome,
     PairStatus,
+    RuleKind,
     Theory,
     classify,
     classify_pair,
@@ -145,6 +146,15 @@ class TestGenerator:
             gen_theory(1, num_atoms=3, num_rules=0, sup_density=0.5)
         with pytest.raises(ValueError, match="num_atoms"):
             gen_theory(1, num_atoms=0, num_rules=3)
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            gen_theory(1, num_atoms=3, num_rules=-1)
+        # Each fraction lies in [0, 1], but their sum may not exceed 1; it may equal 1.
+        with pytest.raises(ValueError, match="^strict_fraction \\+ defeater_fraction must not "
+                                             "exceed 1, not 0.7 \\+ 0.7$"):
+            gen_theory(1, num_atoms=3, num_rules=3, strict_fraction=0.7, defeater_fraction=0.7)
+        theory = gen_theory(1, num_atoms=3, num_rules=10, strict_fraction=0.6,
+                            defeater_fraction=0.4)
+        assert RuleKind.DEFEASIBLE not in {r.kind for r in theory.rules}
 
     @pytest.mark.parametrize("name", ["sup_density", "defeater_fraction", "strict_fraction"])
     @pytest.mark.parametrize("value", [-1.0, 1.5, float("nan")])

@@ -355,6 +355,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(f), "--what", "normal")
         assert code == 2
 
+    def test_non_complementary_pair_reported(self, capsys, tmp_path):
+        f = tmp_path / "nc.dfl"
+        f.write_text("r1: => p. r2: => q. r1 > r2.\n")
+        code, out, _ = run(capsys, "check", str(f), "--what", "well-formed")
+        assert code == 1
+        assert out == ("superiority between rules with non-complementary heads\n"
+                       "well-formed: no\n")
+
+    def test_equiv_without_second_file_exit_3(self, capsys):
+        code, out, err = run(capsys, "check", EXAMPLE2, "--what", "equiv")
+        assert code == 3
+        assert out == ""
+        assert "check --what equiv needs a second theory file" in err
+
 
 class TestClassify:
     def test_strict_loop(self, capsys, tmp_path):
@@ -449,6 +463,11 @@ class TestGen:
         assert code == 3
         assert out == ""
         assert "sup_density must lie in [0, 1], not 1.5" in err
+        code, out, err = run(capsys, "gen", "--seed", "1", "--num-atoms", "3", "--num-rules",
+                             "5", "--strict-fraction", "0.7", "--defeater-fraction", "0.7")
+        assert code == 3
+        assert out == ""
+        assert "strict_fraction + defeater_fraction must not exceed 1, not 0.7 + 0.7" in err
 
 
 def test_subcommands_are_deterministic(capsys):

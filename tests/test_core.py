@@ -139,6 +139,11 @@ class TestGround:
         with pytest.raises(GroundingError, match="empty Herbrand universe"):
             ground(parse("r: p(X) => q(X)."))
 
+    def test_variable_in_api_built_fact(self):
+        # The parser rejects such a fact; a theory built in code reaches `ground`.
+        with pytest.raises(GroundingError, match=r"^variables are not allowed in facts: p\(X\)$"):
+            ground(Theory([lit("p", args=("X",))]))
+
     def test_shared_variables_couple_superiority(self):
         t = parse("p(a). p(b). r: p(X) => q(X). s: p(X) => ~q(X). r > s.")
         g = ground(t)
@@ -220,6 +225,14 @@ class TestTheory:
         other = parse("r: => q.").rules[0]
         with pytest.raises(TheoryError, match="duplicate label"):
             Theory((), (rule, other))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Atom(""), "atom name must be nonempty"),
+        (lambda: Rule("", (), RuleKind.STRICT, lit("p")), "rule label must be nonempty"),
+    ], ids=["atom", "rule"])
+    def test_empty_names_rejected(self, build, message):
+        with pytest.raises(TheoryError, match=f"^{message}$"):
+            build()
 
     def test_superiority_must_resolve(self):
         with pytest.raises(TheoryError, match="unknown label"):

@@ -146,6 +146,37 @@ class TestInvariants:
                  + len(c.plus_partial) + len(c.minus_partial))
         assert total <= 4 * literal_count
 
+    def test_checks_raise_under_python_O(self):
+        # `-O` strips `assert` statements; these three checks raise explicitly.
+        code = """if True:
+            import sys
+            from deflog import (Atom, ConclusionSet, Literal, Tag, TaggedLiteral, classify,
+                                parse, prove)
+            from deflog.engine import _solved
+            p, none = Literal(Atom("p")), frozenset()
+            only_p = frozenset({p})
+            theory, goal = parse("r: => p."), TaggedLiteral(Tag.PLUS_PARTIAL, p)
+            print(sys.flags.optimize, prove(theory, goal) is not None)
+            # The logged `+d p` loses its only supporting rule, so no condition holds.
+            _solved(theory).supports[0] = 0
+            for check in (lambda: ConclusionSet(only_p, only_p, none, none).validate(),
+                          lambda: classify(ConclusionSet(none, none, only_p, only_p), p),
+                          lambda: prove(theory, goal)):
+                try:
+                    print("returned", check())
+                except AssertionError as error:
+                    print(error)
+        """
+        src = str(Path(__file__).parent.parent / "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.splitlines() == [
+            "1 True",
+            "+D must imply +d",
+            "outcomes [<Outcome.B: 'B'>, <Outcome.F: 'F'>] for p: not a partition",
+            "no condition holds for logged entry 2",
+        ]
+
 
 class TestProve:
     def test_one_line_definite_proof(self):

@@ -19,6 +19,7 @@ from deflog import (
     Literal,
     Mode,
     PreconditionError,
+    RuleKind,
     Tag,
     TaggedLiteral,
     Theory,
@@ -26,7 +27,7 @@ from deflog import (
     prove,
     replay,
 )
-from deflog.engine import _Index, _witness
+from deflog.engine import _Index, _solved, _witness
 
 TAG_ORDER = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 
@@ -103,6 +104,29 @@ def test_multi_superior_pool_matches_oracle(multi_superior_pool):
                   for k in Counter(inf for _, inf in t.superiority).values())
     assert crowded >= 3 * len(multi_superior_pool)
     assert_engine_matches_oracle([(seed, t, ()) for seed, t in enumerate(multi_superior_pool)])
+
+
+@pytest.mark.parametrize("pool_name", ["general_pool", "multi_superior_pool"])
+def test_overrides_are_the_declared_pairs_that_can_counterattack(request, pool_name):
+    # `prove` reads `overrides` for the superiority relation, so it is
+    # checked here against every ordered pair of rules: `t` counterattacks
+    # `s` iff `t > s` is declared, `t` is not a defeater and their heads are
+    # complements; each entry lists its `s` in rule order.
+    pool = request.getfixturevalue(pool_name)
+    kept = dropped = 0
+    for seed, theory in enumerate(pool):
+        rules = theory.rules
+        expected = [tuple(s for s, inf in enumerate(rules)
+                          if (sup.label, inf.label) in theory.superiority
+                          and sup.kind is not RuleKind.DEFEATER
+                          and sup.head == inf.head.complement())
+                    for sup in rules]
+        assert _solved(theory).overrides == expected, f"seed {seed}"
+        kept += sum(map(len, expected))
+        dropped += len(theory.superiority) - sum(map(len, expected))
+    # Both pools rank defeaters above rules; the general one also declares
+    # pairs between non-complementary heads.
+    assert kept and dropped
 
 
 def test_pipeline_outputs_match_oracle_in_both_modes(pipeline_pool):

@@ -129,6 +129,8 @@ _BAD_BRACKET = ("malformed generated symbol: '[' groups close on their own line"
     ("r: => $p(a).", False, "1:7: '$' is reserved for generated symbols"),
     ("r$x: => p.", False, "1:2: '$' is reserved for generated symbols"),
     ("r1[x]: => p.", False, "1:3: unexpected character '['"),
+    ("r: p q => x.", False, "1:6: expected an arrow"),
+    ("p(a[b]).", True, "1:3: arguments must be plain identifiers"),
     ("[x]: => p.", True, "1:1: unexpected character '['"),
     ("r: => $p(a.\nq.", True, f"1:7: {_BAD_PAREN}"),
     ("r: => $s+($f(a),r.", True, f"1:7: {_BAD_PAREN}"),

@@ -157,6 +157,12 @@ class TestElimSup:
         with pytest.raises(TransformError, match="normal form"):
             elim_sup(t)
 
+    def test_rejects_non_complementary_pair(self):
+        t = normal(parse("r1: => p. r2: => q. r1 > r2."))[0]
+        with pytest.raises(TransformError, match="^elim_sup requires superiority only "
+                                                 "between rules with complementary heads$"):
+            elim_sup(t)
+
     def test_defeaters_stay_defeaters_at_the_head(self, example3):
         out, _ = elim_sup(example3)
         defeaters = [r for r in out.rules if r.kind == RuleKind.DEFEATER]
