@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .core import Atom, Literal, RuleKind, Rule, Theory, _assign, _Value
+from .core import Atom, Literal, RuleKind, Rule, Theory, _assign, _spellings, _Value
 from .engine import ConclusionSet, Mode, conclusions
 from .parser import print_theory
 from .transform import normal
@@ -136,10 +136,11 @@ def equivalent(
     a defeater-only head that `pipeline` drops, makes the result False.
     """
     if sigma is None:
-        sigma = t1.sigma.atoms | t2.sigma.atoms
-    atoms = {str(a) for a in sigma}
-    c1 = conclusions(t1, Mode.FULL, extra_atoms=atoms).restrict(atoms)
-    c2 = conclusions(t2, Mode.FULL, extra_atoms=atoms).restrict(atoms)
+        sigma = t1._user_atoms | t2._user_atoms
+    words = _spellings(sigma)
+    atoms = [Atom(w) for w in words]  # as `extra_atoms` reads each spelling
+    c1 = conclusions(t1, Mode.FULL, extra_atoms=atoms).restrict(words)
+    c2 = conclusions(t2, Mode.FULL, extra_atoms=atoms).restrict(words)
     return c1 == c2
 
 

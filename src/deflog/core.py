@@ -181,6 +181,13 @@ class Literal(_Value):
 # An atom's two literals, positive first, read without a Python-level call.
 _LITERALS_OF = attrgetter("_positive", "_negative")
 
+
+def _spellings(atoms: Iterable[Atom | str]) -> set[str]:
+    """`str` of each of `atoms`, called only on atoms with arguments: a
+    string spells itself and an atom without arguments is its name."""
+    return {a if isinstance(a, str) else str(a) if a.args else a.name for a in atoms}
+
+
 # Sorts literals without a Python-level call, by spelling and then sign; sort
 # a set of literals by it wherever iteration order can show.
 _LITERAL_ORDER = attrgetter("atom.name", "atom.args", "positive")
@@ -271,11 +278,13 @@ class Theory(_Value):
         facts = tuple(dict.fromkeys(facts))
         rules = tuple(rules)
         superiority = frozenset(superiority)
-        seen: set[str] = set()
-        for rule in rules:
-            if rule.label in seen:
-                raise TheoryError(f"duplicate label {rule.label!r}")
-            seen.add(rule.label)
+        seen = set(map(attrgetter("label"), rules))
+        if len(seen) < len(rules):  # name the first duplicate
+            seen = set()
+            for rule in rules:
+                if rule.label in seen:
+                    raise TheoryError(f"duplicate label {rule.label!r}")
+                seen.add(rule.label)
         for sup, inf in superiority:
             for label in (sup, inf):
                 if label not in seen:
@@ -315,10 +324,14 @@ class Theory(_Value):
     @cached_property
     def sigma(self) -> Sigma:
         """The user language: non-generated atoms and labels only."""
-        return Sigma(
-            frozenset(a for a in self.atoms if not a.generated),
-            frozenset(l for l in self.labels if GENERATED_MARKER not in l),
-        )
+        return Sigma(self._user_atoms,
+                     frozenset(l for l in self.labels if GENERATED_MARKER not in l))
+
+    @cached_property
+    def _user_atoms(self) -> frozenset[Atom]:
+        """The atoms of `sigma`, without its labels and with no Python-level
+        call per atom."""
+        return frozenset([a for a in self.atoms if GENERATED_MARKER not in a.name])
 
     @cached_property
     def is_ground(self) -> bool:

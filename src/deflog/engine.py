@@ -48,7 +48,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
-from operator import attrgetter
+from operator import and_, attrgetter, not_
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -63,6 +63,7 @@ from .core import (
     _LITERAL_ORDER,
     _LITERALS_OF,
     _assign,
+    _spellings,
     _Value,
 )
 
@@ -123,16 +124,30 @@ class ConclusionSet(_Value):
     def restrict(self, atoms: Iterable[Atom | str]) -> ConclusionSet:
         """Keep only literals over the given atoms, matched by spelling: an
         argument-less atom named ``g(c)`` matches the atom ``g(c)``."""
-        keep = {str(a) for a in atoms}
-        return ConclusionSet(*(frozenset(l for l in self._set(tag) if str(l.atom) in keep)
-                               for tag in _TAGS))
+        keep = _spellings(atoms)
+        sets = self._values(self)
+        # The argument-less atom spelled `w` is the one named `w`, if it
+        # exists; only a spelling with a "(" can be an atom's with arguments.
+        found = [Atom._shared.get((w, ())) for w in keep]
+        if any(["(" in w for w in keep]):
+            found += [a for a in {l.atom for s in sets for l in s}
+                      if a.args and str(a) in keep]
+        kept = frozenset(chain.from_iterable(map(_LITERALS_OF, filter(None, found))))
+        return ConclusionSet(*map(kept.intersection, sets))
 
     def lines(self) -> list[str]:
-        """The serialized listing: one `<tag> <literal>` per line, sorted."""
+        """The serialized listing: one `<tag> <literal>` per line, sorted.
+
+        A literal is spelled without a Python-level call unless its atom has
+        arguments; lines of one tag share their prefix up to the sign, so
+        sorting them sorts the literals' spellings."""
         out: list[str] = []
-        for tag in _TAGS:
-            prefix = f"{tag.value} "
-            out.extend(prefix + lit for lit in sorted(map(str, self._set(tag))))
+        for tag, literals in zip(_TAGS, self._values(self)):
+            sign = (f"{tag.value} ~", f"{tag.value} ")  # indexed by `positive`
+            lines = [sign[l.positive] + (str(l.atom) if l.atom.args else l.atom.name)
+                     for l in literals]
+            lines.sort()
+            out += lines
         return out
 
 
@@ -176,17 +191,26 @@ class Derivation(_Value):
 
 def _group(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Group ids by key: entry k is the tuple of ids paired with k, in the
-    order given, which every caller makes ascending.
+    order given, which every caller makes ascending."""
+    groups: dict[int, list[int]] = {}
+    for k, v in pairs:
+        group = groups.get(k)
+        if group is None:
+            groups[k] = [v]
+        else:
+            group.append(v)
+    return _tuples(n, groups.items())
+
+
+def _tuples(n: int, groups: Iterable[tuple[int, list[int]]]) -> list[tuple[int, ...]]:
+    """Entry k is the group keyed k as a tuple, or the empty tuple.
 
     Tuples of ints drop out of the cyclic garbage collector's view, where
     one list per key would make every full collection rescan them.  Lists
-    are built while grouping only for the keys that occur.
+    are built while grouping only for the keys that occur, one per key.
     """
-    groups: dict[int, list[int]] = {}
-    for k, v in pairs:
-        groups.setdefault(k, []).append(v)
     out: list[tuple[int, ...]] = [()] * n
-    for k, group in groups.items():
+    for k, group in groups:
         out[k] = tuple(group)
     return out
 
@@ -210,9 +234,10 @@ class _Solver:
     process: those of facts and heads in theory order, then those only
     antecedents mention by (name, args).  Rules keep their theory order.
     Per literal there are `fact`, the rules with that head (`rules_for`) and
-    the rules with it in their antecedent (`uses`); per rule, its `head`,
-    its `body`, whether it is `strict` and whether it `supports` (is not a
-    defeater), and `overrides[t]`, the rules `t` counterattacks, ascending:
+    the rules with it in their antecedent (`uses`), both ascending; per
+    rule, its `head`, the `size` of its antecedent, whether it is `strict`
+    and whether it `supports` (is not a defeater), and `overrides[t]`, the
+    rules `t` counterattacks, ascending:
     one per declared pair ``t > s``, resolved once; a pair with a defeater
     superior or with non-complementary heads adds nothing.
 
@@ -225,25 +250,48 @@ class _Solver:
     def __init__(self, theory: Theory):
         rules = theory.rules
         heads = [r.head for r in rules]
-        atoms = dict.fromkeys(map(attrgetter("atom"), chain(theory.facts, heads)))
+        atoms = dict.fromkeys([literal.atom for literal in chain(theory.facts, heads)])
         # `theory.atoms` is a set, which iterates by memory address.
         rest = sorted(theory.atoms.difference(atoms), key=attrgetter("name", "args"))
         atoms.update(dict.fromkeys(rest))
-        self.literals = literals = list(chain.from_iterable(map(_LITERALS_OF, atoms)))
-        n = len(literals)
+        # Literal 2 * i is the positive literal of atom i, 2 * i + 1 its complement.
+        self.literals = literals = [None] * (2 * len(atoms))
+        literals[::2] = [a._positive for a in atoms]
+        literals[1::2] = [a._negative for a in atoms]
+        n, m = len(literals), len(rules)
         self.ids = ids = dict(zip(literals, range(n)))
         self.head = head = list(map(ids.__getitem__, heads))
-        self.body = [tuple(map(ids.__getitem__, r.antecedent)) for r in rules]
+        self.size = [len(r.antecedent) for r in rules]
+        # One walk groups the rules by head and by antecedent literal, keyed
+        # by the literals themselves, which are numbered once per group.
+        rules_for: dict[Literal, list[int]] = {}
+        uses: dict[Literal, list[int]] = {}
+        for r, rule in enumerate(rules):
+            group = rules_for.get(rule.head)
+            if group is None:
+                rules_for[rule.head] = [r]
+            else:
+                group.append(r)
+            for literal in rule.antecedent:
+                group = uses.get(literal)
+                if group is None:
+                    uses[literal] = [r]
+                else:
+                    group.append(r)
+        self.rules_for = _tuples(n, zip(map(ids.__getitem__, rules_for), rules_for.values()))
+        self.uses = _tuples(n, zip(map(ids.__getitem__, uses), uses.values()))
         self.fact = bytearray(n)
         for q in map(ids.__getitem__, theory.facts):
             self.fact[q] = 1
-        self.strict = bytearray(r.kind == RuleKind.STRICT for r in rules)
-        self.supports = supports = bytearray(r.kind != RuleKind.DEFEATER for r in rules)
-        self.rules_for = _group(n, zip(head, range(len(rules))))
-        self.uses = _group(n, ((a, r) for r, body in enumerate(self.body) for a in body))
+        # Comprehensions over the rules' slots, which CPython 3.11 reads
+        # faster than a map over an `attrgetter` does.  The kinds are read
+        # off `RuleKind` once: such a read costs many times a local's.
+        strict, defeater = RuleKind.STRICT, RuleKind.DEFEATER
+        self.strict = bytearray([r.kind is strict for r in rules])
+        self.supports = supports = bytearray([r.kind is not defeater for r in rules])
 
         number = {r.label: i for i, r in enumerate(rules)} if theory.superiority else {}
-        self.overrides = _group(len(rules), sorted([
+        self.overrides = _group(m, sorted([
             (t, s) for sup, inf in theory.superiority
             for t, s in [(number[sup], number[inf])]
             if supports[t] and head[t] == head[s] ^ 1]))
@@ -285,32 +333,50 @@ class _Solver:
         is popped is O(1).  Every counter moves at most once per antecedent
         of a rule or per superiority pair, so the run is linear in the size
         of the theory.
+
+        `live` and `open_support` start from the number of rules for each
+        literal, less the countered rules and the defeaters.  When no
+        superiority pair survives compilation (every `overrides` entry is
+        empty, as in every `pipeline` or `elim_sup` output), the override
+        passes are skipped: `sup_open` starts at 0 and `countered` clear for
+        every rule, `live[q]` counts all the rules for `q` and `winning[q]`
+        those with an empty antecedent.
         """
         head, supports, uses, overrides = self.head, self.supports, self.uses, self.overrides
-        n, m = len(self.fact), len(head)
-        fire = list(map(len, self.body))
+        strict, fact = self.strict, self.fact
+        n, m = len(fact), len(head)
+        fire = self.size.copy()
+        fired = [not k for k in fire]
         blocked = bytearray(m)
-        sup_open = _tally(m, chain.from_iterable(overrides))
         countered = bytearray(m)
-        for t, k in enumerate(fire):
-            if not k:
+        live = list(map(len, self.rules_for))
+        open_support = live.copy()
+        for h in compress(head, map(not_, supports)):
+            open_support[h] -= 1
+        if any(overrides):
+            sup_open = _tally(m, chain.from_iterable(overrides))
+            for t in compress(range(m), fired):
                 for s in overrides[t]:
-                    countered[s] = 1
-        can_support = _tally(n, (h for h, sup, k in zip(head, supports, fire) if sup and not k))
-        open_support = _tally(n, compress(head, supports))
-        live = _tally(n, (h for h, c in zip(head, countered) if not c))
-        winning = _tally(n, (h for h, k, o in zip(head, fire, sup_open) if not k and not o))
-        delta_fire = [k + (not strict) for k, strict in zip(fire, self.strict)]
-        delta_blocked = bytearray(not strict for strict in self.strict)
-        delta_open = list(self.fact)
-        for h, strict in zip(head, self.strict):
-            delta_open[h] += strict
+                    if not countered[s]:
+                        countered[s] = 1
+                        live[head[s]] -= 1
+            winners = compress(head, map(and_, fired, map(not_, sup_open)))
+        else:
+            sup_open = [0] * m
+            winners = compress(head, fired)
+        winning = _tally(n, winners)
+        can_support = _tally(n, compress(head, map(and_, supports, fired)))
+        delta_fire = [k + (not s) for k, s in zip(fire, strict)]
+        delta_blocked = bytearray([not s for s in strict])
+        delta_open = list(fact)
+        for h in compress(head, strict):
+            delta_open[h] += 1
         derived, log = self.derived, self.log
         plus_delta, minus_delta = derived[_PD], derived[_MD]
         # `+D`/`-D` entries are queued only once their condition holds;
         # `+d`/`-d` entries whenever an input of theirs crosses its threshold.
         stack = [q << 2 | _MD for q, k in enumerate(delta_open) if not k]
-        stack += [q << 2 | _PD for q, fact in enumerate(self.fact) if fact]
+        stack += [q << 2 | _PD for q, k in enumerate(fact) if k]
         stack += [h << 2 | _PD for h, k in zip(head, delta_fire) if not k]
         push = stack.append
         while stack:
@@ -396,7 +462,7 @@ def _check_preconditions(theory: Theory, mode: Mode) -> None:
     if mode == Mode.REDUCED:
         problems = [name for name, present in (
             ("facts", theory.facts),
-            ("defeaters", any(r.kind == RuleKind.DEFEATER for r in theory.rules)),
+            ("defeaters", RuleKind.DEFEATER in [r.kind for r in theory.rules]),
             ("a superiority relation", theory.superiority),
         ) if present]
         if problems:
@@ -438,9 +504,8 @@ def conclusions(
     found = [frozenset(compress(solver.literals, done)) for done in solver.derived]
     # An atom with no fact and no rule has both of its literals refuted at
     # both levels, and nothing else.
-    extra = (_LITERALS_OF(Atom(a) if isinstance(a, str) else a) for a in extra_atoms)
-    absent = frozenset(chain.from_iterable(
-        literals for literals in extra if literals[0] not in solver.ids))
+    extra = [Atom(a) if isinstance(a, str) else a for a in extra_atoms]
+    absent = frozenset(chain.from_iterable(map(_LITERALS_OF, extra))).difference(solver.ids)
     if absent:
         found[_MD] |= absent
         found[_MP] |= absent
@@ -477,12 +542,12 @@ def prove(
         x = q << 2 | _TAGS.index(tag)
         return x if seq.get(x, before) < before else None
 
-    rules = theory.rules
+    rules, ids = theory.rules, solver.ids
     index = _Index(solver.fact.__getitem__, solver.rules_for.__getitem__,
                    (1).__xor__,  # the complement of literal q is q ^ 1
                    solver.strict.__getitem__, solver.supports.__getitem__,
                    lambda t, s: s in solver.overrides[t],
-                   lambda r: sorted(solver.body[r]), logged)
+                   lambda r: sorted(map(ids.__getitem__, rules[r].antecedent)), logged)
     lines: dict[int, tuple[str, list[int], list[int]]] = {}
     stack = [target]
     while stack:
@@ -546,9 +611,10 @@ class _Index(NamedTuple):
             by_head.setdefault(rule.head, []).append(rule)
         # Antecedents in a fixed order: `_blocked` stops at the first with a
         # line, and set order follows memory addresses.
+        strict, defeater = RuleKind.STRICT, RuleKind.DEFEATER
         return cls(frozenset(theory.facts).__contains__, lambda q: by_head.get(q, ()),
-                   Literal.complement, lambda r: r.kind is RuleKind.STRICT,
-                   lambda r: r.kind is not RuleKind.DEFEATER,
+                   Literal.complement, lambda r: r.kind is strict,
+                   lambda r: r.kind is not defeater,
                    lambda t, s: (t.label, s.label) in theory.superiority,
                    lambda r: sorted(r.antecedent, key=_LITERAL_ORDER), line)
 

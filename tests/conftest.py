@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from deflog import Atom, Literal, Rule, RuleKind, Theory, ground, parse, pipeline
+from deflog import (Atom, ConclusionSet, Literal, Rule, RuleKind, Tag, Theory, ground, parse,
+                    pipeline)
 from deflog.analysis import gen_theory
 from deflog.engine import _Solver
 
@@ -42,6 +43,14 @@ def example3() -> Theory:
 DD_SOURCE = "r1: => p. r2: => ~p. r1 > r2. r2 > r1."
 DE_SOURCE = "r1: p => p. r2: => ~p. r1 > r2. r2 > r1."
 BE_SOURCE = "r1: p => p. r2: => ~p. r3: ~p -> ~p. r1 > r2. r2 > r1. r1 > r3."
+
+
+def per_literal_restrict(c: ConclusionSet, atoms) -> ConclusionSet:
+    """`ConclusionSet.restrict` by its definition: a literal stays when the
+    spelling of its atom is among the spellings of `atoms`."""
+    keep = {str(a) for a in atoms}
+    return ConclusionSet(*(frozenset(l for l in c._set(tag) if str(l.atom) in keep)
+                           for tag in Tag))
 
 
 @pytest.fixture

@@ -9,20 +9,23 @@ from deflog import (
     PairStatus,
     RuleKind,
     Theory,
+    TransformError,
     classify,
     classify_pair,
     conclusions,
     dump_failure,
     equivalent,
+    ground,
     normal,
     pair_table,
     parse,
+    pipeline,
     theory_union,
 )
 from deflog.analysis import gen_theory
 from deflog.core import check_normal, check_well_formed
 
-from conftest import BE_SOURCE, DD_SOURCE, DE_SOURCE
+from conftest import BE_SOURCE, DD_SOURCE, DE_SOURCE, per_literal_restrict
 
 P = Literal(Atom("p"))
 NOT_P = P.complement()
@@ -114,6 +117,33 @@ class TestEquivalent:
     def test_default_sigma_is_shared_user_language(self, example2):
         out, _ = normal(example2)
         assert equivalent(example2, out)
+
+    def test_verdicts_match_the_per_literal_definition(self, pipeline_pool, schema_pool):
+        # Each input against its own output and against the next input's
+        # output, so both verdicts occur; grounded schemas bring atoms with
+        # arguments, whose defeater-only heads `pipeline` drops.
+        def by_definition(t1, t2, sigma=None):
+            if sigma is None:
+                sigma = t1.sigma.atoms | t2.sigma.atoms
+            atoms = {str(a) for a in sigma}
+            return (per_literal_restrict(conclusions(t1, extra_atoms=atoms), atoms)
+                    == per_literal_restrict(conclusions(t2, extra_atoms=atoms), atoms))
+
+        pairs = list(pipeline_pool)
+        pairs += [(t, out, sigma) for (t, _, sigma), (_, out, _)
+                  in zip(pipeline_pool, pipeline_pool[1:])]
+        for schema in schema_pool:
+            theory = ground(schema)
+            try:
+                pairs.append((theory, pipeline(theory)[0], theory.sigma.atoms))
+            except TransformError:
+                continue
+        verdicts = []
+        for t1, t2, sigma in pairs:
+            verdicts.append(equivalent(t1, t2))
+            assert verdicts[-1] == by_definition(t1, t2)
+            assert equivalent(t1, t2, sigma) == by_definition(t1, t2, sigma)
+        assert True in verdicts and False in verdicts
 
 
 class TestGenerator:

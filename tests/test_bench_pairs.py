@@ -1,5 +1,6 @@
 """`tools/bench_pairs.py` with `subprocess` patched, so it starts no process:
-its argument rules, and how it counts a run that prints no result."""
+its argument rules, how it counts a run that prints no result, and the
+trees and environment the runs get."""
 
 import importlib.util
 import json
@@ -50,13 +51,14 @@ def test_run_without_a_result_line_fails_only_its_pair(bench_pairs, monkeypatch,
             return subprocess.CompletedProcess(argv, 1)
         seed = int(argv[argv.index("--seed") + 1])
         last = json.dumps(result)
-        if kwargs["cwd"] == bench_pairs.ROOT and seed == 1:
+        if kwargs["cwd"].name.startswith("bench-pairs-change-") and seed == 1:
             last = "{not a result"
             malformed.append(seed)
         return subprocess.CompletedProcess(argv, 0, stdout=f"record: x.json\n{last}\n", stderr="")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
     monkeypatch.setattr(bench_pairs, "export", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda into: None)
     code = bench_pairs.main(["--workload", "props-library", "--seed", "1", "--base", "HEAD"])
     out = capsys.readouterr().out
     assert code == 1
@@ -66,3 +68,34 @@ def test_run_without_a_result_line_fails_only_its_pair(bench_pairs, monkeypatch,
     assert "pair 1 seed 1 change" not in out
     assert "props-library, 9 pairs, seeds 1-10" in out
     assert "| `units_per_s` (1/s) | 10 (10-10) | 10 (10-10) | 1.000 | 0/9 |" in out
+
+
+def test_both_sides_run_in_fresh_trees_writing_no_bytecode(bench_pairs, monkeypatch):
+    # The change runs in a copy of the files git lists, which leaves out
+    # ignored ones such as `__pycache__`, and both sides get
+    # PYTHONDONTWRITEBYTECODE, so neither ever reads cached bytecode of the
+    # project.  The copy skips a tracked file deleted on disk.
+    result = {"correct": True, "attempted": 5, "failed": 0,
+              "metrics": {"units_per_s": {"value": 10.0, "unit": "1/s"}}}
+    listed = ["README.md", "tools/bench_pairs.py", "deleted.py"]
+    runs = []
+
+    def fake_run(argv, **kwargs):
+        if argv[3:4] == ["ls-files"]:
+            return subprocess.CompletedProcess(argv, 0, stdout="\0".join(listed).encode())
+        if argv[:2] == ["git", "-C"]:  # `git diff --quiet`: the trees differ
+            return subprocess.CompletedProcess(argv, 1)
+        tree = kwargs["cwd"]
+        files = sorted(str(path.relative_to(tree)) for path in tree.rglob("*") if path.is_file())
+        runs.append((tree, kwargs["env"].get("PYTHONDONTWRITEBYTECODE"), files))
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, into: None)
+    assert bench_pairs.main(["--workload", "props-library", "--seed", "1", "--base", "HEAD"]) == 0
+    trees = {tree for tree, _, _ in runs}
+    assert len(runs) == 20 and len(trees) == 2 and bench_pairs.ROOT not in trees
+    assert all(flag == "1" for _, flag, _ in runs)
+    copies = {tuple(files) for tree, _, files in runs if tree.name.startswith("bench-pairs-change-")}
+    assert copies == {("README.md", "tools/bench_pairs.py")}
+    assert not any(tree.exists() for tree in trees)

@@ -18,6 +18,7 @@ from deflog import (
     conclusions,
     elim_sup,
     equivalent,
+    ground,
     normal,
     parse,
     pipeline,
@@ -25,9 +26,9 @@ from deflog import (
     replay,
 )
 from deflog.analysis import classify_pair, gen_theory
-from deflog.engine import _Solver
+from deflog.engine import _TAGS, _Solver
 
-from conftest import GOLDEN
+from conftest import GOLDEN, per_literal_restrict
 
 
 def lit(name: str, positive: bool = True, args: tuple = ()) -> Literal:
@@ -55,6 +56,15 @@ def derivation_listing(name: str, theory: Theory) -> str:
                     for i, line in enumerate(derivation.lines, 1) if line.premises)
                 out.append(f"% {name}: {goal}\n{derivation}\n% premises{premises}\n")
     return "\n".join(out)
+
+
+def solver_log(name: str, theory: Theory) -> str:
+    """The log of a fresh `_Solver` run on `theory`, one tagged literal per
+    line, in the order derived, under a `%` header."""
+    solver = _Solver(theory)
+    solver.run()
+    return "".join([f"% {name}\n", *(f"{_TAGS[x & 3].value} {solver.literals[x >> 2]}\n"
+                                       for x in solver.log)])
 
 
 class TestConclusions:
@@ -103,6 +113,52 @@ class TestConclusions:
         with_pair = conclusions(parse("r1: => p. r2: => q. r1 > r2."))
         without = conclusions(parse("r1: => p. r2: => q."))
         assert with_pair == without
+
+
+class TestSpelling:
+    """`restrict` and `lines` spell an argument-less atom by its name, and
+    call `str` only on atoms with arguments; both must agree with their
+    definitions by `str` on every literal."""
+
+    @staticmethod
+    def cases(theories):
+        # Each theory's conclusions, widened by the argument-less twin of
+        # every atom with arguments (`Atom("g(c)")` beside `g(c)`) and by an
+        # atom it does not mention, with selections of atoms to keep.
+        for theory in theories:
+            atoms = sorted(theory.atoms, key=str)
+            twins = [Atom(str(a)) for a in atoms if a.args]
+            c = conclusions(theory, extra_atoms=[*twins, "zz"])
+            yield c, [atoms, atoms[::2], [str(a) for a in atoms[1::2]], twins,
+                      [*atoms[:1], "zz", "absent", "g(c)"], []]
+
+    @pytest.mark.parametrize("pool", ["general_pool", "multi_superior_pool", "schema_pool",
+                                      "pipeline_pool"])
+    def test_restrict_and_lines_match_their_definitions(self, pool, request):
+        theories = request.getfixturevalue(pool)
+        if pool == "schema_pool":
+            theories = [ground(t) for t in theories]
+        elif pool == "pipeline_pool":
+            theories = [out for _, out, _ in theories]
+        for c, selections in self.cases(theories):
+            assert c.lines() == [f"{tag.value} {literal}" for tag in Tag
+                                 for literal in sorted(map(str, c._set(tag)))]
+            for atoms in selections:
+                assert c.restrict(atoms) == per_literal_restrict(c, atoms)
+
+    def test_an_argument_less_twin_matches_by_spelling(self):
+        theory = ground(parse("f(c). r: f(X) => g(X)."))
+        g, twin = Atom("g", ("c",)), Atom("g(c)")
+        c = conclusions(theory, extra_atoms=[twin])
+        both = {Literal(g), Literal(twin)}
+        for atoms in ([g], [twin], ["g(c)"]):
+            kept = c.restrict(atoms)
+            assert kept.plus_partial == {Literal(g)}
+            assert {l.atom for l in kept.minus_partial} == {g, twin}
+            assert both <= kept.minus_delta
+            assert kept == per_literal_restrict(c, atoms)
+        # Both atoms spell `-D g(c)`, so the listing holds that line twice.
+        assert c.lines().count("-D g(c)") == 2
 
 
 class TestReducedMode:
@@ -232,6 +288,25 @@ class TestProve:
                                derivation_listing("example1, grounded", example1_ground),
                                derivation_listing("gen_theory seed 49", seeded)])
         assert produced == (GOLDEN / "derivations.txt").read_text()
+
+    def test_solver_log_matches_golden(self, example1_ground):
+        # The order of the log is the order `prove` picks premises from, so
+        # a change to the solver may reorder neither.  Four shapes: general
+        # rules with surviving superiority pairs, defeater-heavy rules, a
+        # `pipeline` output (no superiority pair survives compilation) and a
+        # grounded schema.
+        general = gen_theory(32, num_atoms=6, num_rules=10, num_facts=2, defeater_fraction=0.2,
+                             strict_fraction=0.3, sup_density=0.08)
+        defeaters = gen_theory(6, num_atoms=5, num_rules=12, num_facts=1, defeater_fraction=0.5,
+                               strict_fraction=0.2, sup_density=0.15)
+        well_formed = gen_theory(22, num_atoms=5, num_rules=8, num_facts=2, defeater_fraction=0.2,
+                                 strict_fraction=0.3, sup_density=0.2, force_well_formed=True)
+        produced = "".join([solver_log("gen_theory seed 32", general),
+                            solver_log("gen_theory seed 6, defeater-heavy", defeaters),
+                            solver_log("pipeline of gen_theory seed 22, well-formed",
+                                       pipeline(well_formed)[0]),
+                            solver_log("example1, grounded", example1_ground)])
+        assert produced == (GOLDEN / "solver_log.txt").read_text()
 
     def test_derivations_do_not_depend_on_string_hashes(self):
         """Antecedents are sets of literals, which hash by identity, so they

@@ -4,22 +4,31 @@
 
 Exits with an error if the working tree's tracked files equal `REF`, since
 the runs would compare the same code with itself.  Otherwise exports `REF`
-with `git archive` into a temporary directory, then runs
-`bench/run.py --workload W --seed S --seconds T` there and in the working
-tree, one after the other, for each pair; T is `run_seconds` of
-`BENCHMARK.json`, pair i uses seed N + i on both sides, and the side that
-runs first alternates.  At least 10 pairs are run.  Each side runs its own
-`bench/run.py` on its own sources.  Prints every run, then per end-to-end
-metric of `BENCHMARK.json` each side's median and quartiles and the pairs
-the working tree won (ties count for neither), and deletes the directory.
-Exits 1 if any run failed or reported a failed operation; a run whose last
-line is not a result object counts as failed and is left out of the pairs.
+with `git archive` into one temporary directory and copies the working
+tree's files into another (those git tracks or would track, so no ignored
+file and no `__pycache__`), then runs
+`bench/run.py --workload W --seed S --seconds T` in each, one after the
+other, for each pair; T is `run_seconds` of `BENCHMARK.json`, pair i uses
+seed N + i on both sides, and the side that runs first alternates.  At
+least 10 pairs are run.  Each side runs its own `bench/run.py` on its own
+sources, and neither reads or writes the project's cached bytecode: both
+trees start without any and every run gets `PYTHONDONTWRITEBYTECODE=1`, so
+bytecode left in the working tree cannot make the change look faster.  (An
+empty `PYTHONPYCACHEPREFIX` would do the same, but would also make every
+process compile the standard library afresh: importing `deflog.cli` took
+0.47 s that way against 0.11 s on 2 vCPUs with CPython 3.11.7.)  Prints
+every run, then per end-to-end metric of `BENCHMARK.json` each side's
+median and quartiles and the pairs the working tree won (ties count for
+neither), and deletes the directories.  Exits 1 if any run failed or
+reported a failed operation; a run whose last line is not a result object
+counts as failed and is left out of the pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -43,11 +52,27 @@ def export(ref: str, into: Path) -> None:
         raise SystemExit(f"error: cannot export {ref!r}")
 
 
+def copy_working_tree(into: Path) -> None:
+    """Copy the working tree's files that git tracks or would track under
+    `into`, as they are on disk."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True)
+    if listed.returncode != 0:
+        raise SystemExit("error: cannot list the working tree's files")
+    for name in sorted(set(listed.stdout.decode().split("\0")) - {""}):
+        source, target = ROOT / name, into / name
+        if source.is_file():  # a tracked file deleted on disk is left out
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One benchmark run in `tree`: its result object, or None if it failed."""
+    """One benchmark run in `tree`, writing no bytecode: its result object,
+    or None if it failed."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         print(f"  run failed in {tree} (exit {proc.returncode}): {proc.stderr.strip()[-300:]}")
@@ -88,12 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = contract["end_to_end"], contract["run_seconds"]
 
-    base_dir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    sides = {side: Path(tempfile.mkdtemp(prefix=f"bench-pairs-{side}-"))
+             for side in ("base", "change")}
     pairs: list[tuple[dict, dict]] = []
     ok = True
     try:
-        export(args.base, base_dir)
-        sides = {"base": base_dir, "change": ROOT}
+        export(args.base, sides["base"])
+        copy_working_tree(sides["change"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -112,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
             if results["base"] is not None and results["change"] is not None:
                 pairs.append((results["base"], results["change"]))
     finally:
-        shutil.rmtree(base_dir, ignore_errors=True)
+        for tree in sides.values():
+            shutil.rmtree(tree, ignore_errors=True)
 
     last = args.seed + args.pairs - 1
     print(f"\n{args.workload}, {len(pairs)} pairs, seeds {args.seed}-{last}, "
