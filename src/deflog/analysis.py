@@ -205,14 +205,15 @@ def gen_theory(
     facts = tuple(dict.fromkeys(random_literal() for _ in range(num_facts)))
 
     rules = []
+    strict, defeater, defeasible = RuleKind.STRICT, RuleKind.DEFEATER, RuleKind.DEFEASIBLE
     for i in range(num_rules):
         roll = rng.random()
         if roll < strict_fraction:
-            kind = RuleKind.STRICT
+            kind = strict
         elif roll < strict_fraction + defeater_fraction:
-            kind = RuleKind.DEFEATER
+            kind = defeater
         else:
-            kind = RuleKind.DEFEASIBLE
+            kind = defeasible
         head = random_literal()
         antecedent = frozenset(
             random_literal() for _ in range(rng.randint(0, min(3, num_atoms)))

@@ -26,6 +26,7 @@ recognises them; :mod:`deflog.transform` spells each one where it mints it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -415,16 +416,14 @@ class NormalFormReport(_Value):
 
 
 def check_normal(theory: Theory) -> NormalFormReport:
-    strict_count: dict[Literal, int] = {}
-    nonstrict_count: dict[Literal, int] = {}
-    for r in theory.rules:
-        bucket = strict_count if r.kind == RuleKind.STRICT else nonstrict_count
-        bucket[r.head] = bucket.get(r.head, 0) + 1
+    strict = RuleKind.STRICT
+    strict_rules = [r for r in theory.rules if r.kind is strict]
+    strict_heads = Counter([r.head for r in strict_rules])
     literal_ok = all(
-        strict_count.get(head, 0) <= 1
-        for head in nonstrict_count
+        strict_heads.get(r.head, 0) <= 1
+        for r in theory.rules if r.kind is not strict
     )
-    strict_labels = {r.label for r in theory.rules if r.kind == RuleKind.STRICT}
+    strict_labels = {r.label for r in strict_rules}
     sup_ok = all(
         sup not in strict_labels and inf not in strict_labels
         for sup, inf in theory.superiority

@@ -302,8 +302,12 @@ def print_theory(theory: Theory) -> str:
     empty string; round-tripping through :func:`parse` reproduces the
     theory (generated symbols need `allow_generated=True`).
     """
-    lines = [f"{fact}." for fact in theory.facts]
-    lines.extend(f"{rule}." for rule in theory.rules)
+    spell = functools.cache(str)  # each literal is spelled once per call
+    lines = [f"{spell(fact)}." for fact in theory.facts]
+    for rule in theory.rules:  # as `Rule.__str__` does, reading the arrow without a call
+        ants = ", ".join(sorted(map(spell, rule.antecedent)))
+        body = f"{ants} {rule.kind._value_}" if ants else rule.kind._value_
+        lines.append(f"{rule.label}: {body} {spell(rule.head)}.")
     lines.extend(f"{sup} > {inf}." for sup, inf in sorted(theory.superiority))
     if not lines:
         return ""

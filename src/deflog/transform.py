@@ -25,18 +25,21 @@ label ``r``, an atom ``p`` and a literal ``l``) where it mints them:
 :func:`pipeline` composes the three in that order, yielding a theory with no
 facts, no defeaters and an empty superiority relation, on which the engine's
 reduced mode applies.  Each public pass checks its own preconditions;
-`pipeline` checks its input once and then runs the three bodies unchecked,
-since the stages in between are normal and well-formed by construction.
+`pipeline` checks its input once, since the stages in between are normal and
+well-formed by construction.
 
-Each pass is a pure function returning the new theory plus a
-:class:`TransformReport` with size accounting and the origin of every
-symbol the pass minted, recorded as it mints it; a generated symbol with no
-entry came from the input.  Sizes count facts, rules and superiority pairs
-alike; on that measure growth is bounded by a factor of 3 for `normal` and
-`elim_dft` and 4 for `elim_sup`.
+Every pass is local: it maps each rule, fact and superiority pair to its
+images and records the origin of each symbol it mints as it mints it; a
+generated symbol with no entry came from the input.  One driver takes each
+item through the passes of a run and builds only the final theory, which it
+returns with a :class:`TransformReport`.  Sizes count facts, rules and
+superiority pairs alike; on that measure growth is bounded by a factor of 3
+for `normal` and `elim_dft` and 4 for `elim_sup`.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .core import (
     Atom,
@@ -52,6 +55,7 @@ from .core import (
     check_well_formed,
 )
 
+_STRICT, _DEFEASIBLE, _DEFEATER = RuleKind.STRICT, RuleKind.DEFEASIBLE, RuleKind.DEFEATER
 # How the atoms `elim_dft` mints begin; its "already transformed" check reads them.
 _PLUS, _MINUS = "$pl(", "$mi("
 
@@ -66,13 +70,12 @@ class TransformReport(_Value):
     `origins` maps the spelling of every atom and label the pass generated
     to the fact, source rule or superiority pair it came from.  A generated
     symbol of the output with no entry came from the input, and every entry
-    of a single pass names a symbol of its output.  `normal` refuses
-    generated input, so the merged origins that `pipeline` reports cover
-    every generated symbol of its output, and they drop the labels of the
-    middle stage that `elim_sup` renames, so every entry names a symbol of
-    the output as well.  The growth factor is output size over input size,
-    where size counts facts, rules and superiority pairs; an empty input
-    reports 1.
+    names a symbol of the output.  `normal` refuses generated input, so the
+    origins that `pipeline` reports cover every generated symbol of its
+    output.  Each entry names the item of the pass that minted the symbol,
+    such as the `elim_dft` label of the rule `elim_sup` minted it for.  The
+    growth factor is output size over input size, where size counts facts,
+    rules and superiority pairs; an empty input reports 1.
     """
 
     __slots__ = ("input_facts", "input_rules", "input_superiority",
@@ -88,13 +91,10 @@ class TransformReport(_Value):
     def __init__(self, input_facts: int, input_rules: int, input_superiority: int,
                  output_facts: int, output_rules: int, output_superiority: int,
                  origins: dict[str, str] | None = None) -> None:
-        _assign(self, "input_facts", input_facts)
-        _assign(self, "input_rules", input_rules)
-        _assign(self, "input_superiority", input_superiority)
-        _assign(self, "output_facts", output_facts)
-        _assign(self, "output_rules", output_rules)
-        _assign(self, "output_superiority", output_superiority)
-        _assign(self, "origins", {} if origins is None else origins)
+        for name, value in zip(self._fields, (
+                input_facts, input_rules, input_superiority, output_facts, output_rules,
+                output_superiority, {} if origins is None else origins)):
+            _assign(self, name, value)
 
     @property
     def input_size(self) -> int:
@@ -111,22 +111,181 @@ class TransformReport(_Value):
         return self.output_size / self.input_size
 
 
-def _with_report(source: Theory, result: Theory,
-                 origins: dict[str, str]) -> tuple[Theory, TransformReport]:
-    return result, TransformReport(
-        input_facts=len(source.facts),
-        input_rules=len(source.rules),
-        input_superiority=len(source.superiority),
-        output_facts=len(result.facts),
-        output_rules=len(result.rules),
-        output_superiority=len(result.superiority),
-        origins=origins,
-    )
-
-
 def _require_ground(theory: Theory, op: str) -> None:
     if not theory.is_ground:
         raise TransformError(f"{op} requires a ground theory")
+
+
+class _Pass(NamedTuple):
+    """A pass as functions from items to their images.  `rules` maps the
+    ``(label, antecedent, kind, head)`` tuples of one input rule's images to
+    theirs, passing on the tuple of a rule it keeps; `facts` and `pairs` keep
+    what stays and add the images of the rules the rest become to `made`."""
+
+    rules: Callable
+    facts: Callable = lambda facts, made: facts
+    pairs: Callable = lambda pairs, made: pairs
+    strict_first: bool = False  # whether the output lists the strict rules first
+
+
+def _normal(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
+    """`normal`'s images; `facts` adds the bridges last, sorted by spelling."""
+    bridges: dict[Literal, str] = {}  # literal -> the origin of its bridge
+
+    def primed(literal):  # prime maps through literals: ~p primes to ~(p')
+        atom = Atom(f"$p({literal.atom})")
+        return atom._positive if literal.positive else atom._negative
+
+    def rules(images):
+        out = []
+        for image in images:
+            label, antecedent, kind, head = image
+            if kind is not _STRICT:
+                out.append(image)
+                continue
+            origin, primed_label = f"strict rule {label}", f"{label}$p"
+            primed_head = primed(head)
+            primed_antecedent = sorted([primed(a) for a in antecedent], key=_LITERAL_ORDER)
+            origins[primed_label] = origin
+            # A primed atom has no arguments: its name is its spelling.
+            for a in (primed_head, *primed_antecedent):
+                origins.setdefault(a.atom.name, origin)
+            bridges.setdefault(head, origin)
+            out += ((primed_label, frozenset(primed_antecedent), _STRICT, primed_head),
+                    (label, antecedent, _DEFEASIBLE, head))
+        return out
+
+    def facts(facts, made):
+        for fact in facts:
+            origin, label, head = f"fact {fact}", f"$f({fact})", primed(fact)
+            origins[label] = origin
+            origins.setdefault(head.atom.name, origin)
+            bridges.setdefault(fact, origin)
+            made.append((label, (), _STRICT, head))
+        for literal in sorted(bridges, key=str):
+            label = f"$b({literal})"
+            origins[label] = bridges[literal]
+            made.append((label, (primed(literal),), _STRICT, literal))
+        return ()
+
+    return _Pass(rules, facts)
+
+
+def _elim_dft(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
+    """`elim_dft`'s images: the support atom backs the original conclusion
+    through the linking rule, while attacks take aim at the block atom."""
+    minted: dict[Atom, tuple[Atom, Atom]] = {}  # head atom -> its support and block atoms
+    translated: dict[str, list] = {}  # label -> its images
+
+    def rules(images):
+        out = []
+        for label, antecedent, kind, head in images:
+            atom = head.atom
+            if atom not in minted:
+                minted[atom] = Atom(f"{_PLUS}{atom})"), Atom(f"{_MINUS}{atom})")
+            support, block = minted[atom]
+            if kind is _DEFEATER:
+                new = [(label, antecedent, _DEFEASIBLE,
+                        block._negative if head.positive else support._negative)]
+            elif head.positive:
+                new = [(f"{label}$+", antecedent, kind, support._positive),
+                       (f"{label}$-", antecedent, kind, block._negative),
+                       (label, frozenset((support._positive,)), kind, head)]
+            else:
+                new = [(f"{label}$-", antecedent, kind, block._positive),
+                       (f"{label}$+", antecedent, kind, support._negative),
+                       (label, frozenset((block._positive,)), kind, head)]
+            origin = f"rule {label}"
+            for new_label, _, _, new_head in new:
+                if new_label != label:
+                    origins[new_label] = origin
+                if new_head.atom is not atom:  # a minted atom, without arguments
+                    origins.setdefault(new_head.atom.name, origin)
+            out += translated.setdefault(label, new)  # labels are unique: it stores `new`
+        return out
+
+    def pairs(pairs, made):
+        return [(sup_label, inf_label) for sup, inf in pairs
+                for sup_label, _, _, sup_head in translated[sup]
+                for inf_label, _, _, inf_head in translated[inf]
+                if sup_head.positive != inf_head.positive and sup_head.atom is inf_head.atom]
+
+    return _Pass(rules, pairs=pairs)
+
+
+def _elim_sup(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
+    """`elim_sup`'s images; the strict rules, kept, come first."""
+    inf_atoms: dict[str, tuple[Atom, Atom]] = {}  # label -> its `$ip` and `$im` atoms
+
+    def rules(images):
+        out = []
+        for image in images:
+            label, antecedent, kind, head = image
+            if kind is _STRICT:
+                out.append(image)
+                continue
+            earlier.pop(label, None)  # renamed here, the label is not in the output
+            origin = f"rule {label}"
+            inf_plus, inf_minus = inf_atoms[label] = Atom(f"$ip({label})"), Atom(f"$im({label})")
+            # The inferiority atoms have no arguments: their names are their spellings.
+            origins.setdefault(inf_minus.name, origin)
+            new = []
+            if kind is _DEFEASIBLE:
+                origins.setdefault(inf_plus.name, origin)
+                new += [(f"{label}$a+", antecedent, kind, inf_plus._negative),
+                        (f"{label}$b+", (inf_plus._negative,), kind, head)]
+            new += [(f"{label}$a-", antecedent, _DEFEASIBLE, inf_minus._negative),
+                    (f"{label}$b-", (inf_minus._negative,), kind, head)]
+            for new_label, _, _, _ in new:
+                origins[new_label] = origin
+            out += new
+        return out
+
+    def pairs(pairs, made):
+        for sup, inf in pairs:
+            plus, minus = f"$s+({sup},{inf})", f"$s-({sup},{inf})"
+            origins[plus] = origins[minus] = f"superiority {sup} > {inf}"
+            (sup_plus, sup_minus), (inf_plus, inf_minus) = inf_atoms[sup], inf_atoms[inf]
+            made += [(plus, (sup_plus._negative,), _DEFEASIBLE, inf_plus._positive),
+                     (minus, (sup_minus._negative,), _DEFEASIBLE, inf_minus._positive)]
+            # A defeater's `$ip` occurs only here.
+            origins.setdefault(sup_plus.name, f"rule {sup}")
+            origins.setdefault(inf_plus.name, f"rule {inf}")
+        return ()
+
+    return _Pass(rules, pairs=pairs, strict_first=True)
+
+
+def _run(theory: Theory, *passes: Callable) -> tuple[Theory, TransformReport]:
+    """Take each rule on its own through `passes`, then, pass by pass, the
+    facts and the sorted pairs.  The passes share one origins map, which all
+    but the first also get as `earlier`.  A rule no pass changes is kept."""
+    origins: dict[str, str] = {}
+    stages = [make(origins, origins if i else {}) for i, make in enumerate(passes)]
+    strict_first = stages[-1].strict_first
+    first: list[Rule] = []  # the strict rules, if the output lists them first
+    rest: list[Rule] = []
+
+    def emit(items, later, sources=()):
+        for i, item in enumerate(items):
+            images = (item,)
+            for stage in later:
+                images = stage.rules(images)
+            for image in images:
+                rule = sources[i] if sources and image is item else Rule(*image)
+                (first if strict_first and rule.kind is _STRICT else rest).append(rule)
+
+    emit(list(map(Rule._values, theory.rules)), stages, theory.rules)
+    facts, pairs = theory.facts, theory.superiority
+    for start, stage in enumerate(stages, 1):
+        made: list = []
+        facts = stage.facts(facts, made)
+        pairs = stage.pairs(sorted(pairs), made)
+        emit(made, stages[start:])
+    result = Theory(facts, first + rest, pairs)
+    return result, TransformReport(
+        len(theory.facts), len(theory.rules), len(theory.superiority),
+        len(result.facts), len(result.rules), len(result.superiority), origins)
 
 
 def normal(theory: Theory) -> tuple[Theory, TransformReport]:
@@ -144,84 +303,7 @@ def normal(theory: Theory) -> tuple[Theory, TransformReport]:
     _require_ground(theory, "normal")
     if theory.has_generated_symbols:
         raise TransformError("already transformed")
-    return _with_report(theory, *_normal(theory))
-
-
-def _normal(theory: Theory) -> tuple[Theory, dict[str, str]]:
-    origins: dict[str, str] = {}
-    rules: list[Rule] = []
-    bridge_literals: dict[Literal, str] = {}
-
-    for rule in theory.rules:
-        if rule.kind is not RuleKind.STRICT:
-            rules.append(rule)
-            continue
-        origin = f"strict rule {rule.label}"
-        primed = Rule(
-            f"{rule.label}$p",
-            frozenset(_primed(a) for a in rule.antecedent),
-            RuleKind.STRICT,
-            _primed(rule.head),
-        )
-        rules.append(primed)
-        rules.append(Rule(rule.label, rule.antecedent, RuleKind.DEFEASIBLE, rule.head))
-        origins[primed.label] = origin
-        # A primed atom has no arguments: its name is its spelling.
-        origins.setdefault(primed.head.atom.name, origin)
-        for a in sorted(primed.antecedent, key=_LITERAL_ORDER):
-            origins.setdefault(a.atom.name, origin)
-        bridge_literals.setdefault(rule.head, origin)
-
-    for fact in theory.facts:
-        origin = f"fact {fact}"
-        fact_rule = Rule(f"$f({fact})", frozenset(), RuleKind.STRICT, _primed(fact))
-        rules.append(fact_rule)
-        origins[fact_rule.label] = origin
-        origins.setdefault(fact_rule.head.atom.name, origin)
-        bridge_literals.setdefault(fact, origin)
-
-    for literal in sorted(bridge_literals, key=str):
-        bridge = Rule(f"$b({literal})", frozenset((_primed(literal),)),
-                      RuleKind.STRICT, literal)
-        rules.append(bridge)
-        origins[bridge.label] = bridge_literals[literal]
-
-    return Theory((), tuple(rules), theory.superiority), origins
-
-
-def _primed(literal: Literal) -> Literal:
-    """Prime mapped through literals: the primed form of ~p is ~(p')."""
-    atom = Atom(f"$p({literal.atom})")
-    return atom._positive if literal.positive else atom._negative
-
-
-def _dft_images(rule: Rule, support: Atom, block: Atom) -> list[Rule]:
-    """The one-to-three rule translation that removes defeaters, given the
-    support and block atoms of the rule's head atom.
-
-    Positive and negative heads are symmetric: the support atom of the head
-    atom backs the original conclusion through a linking rule, while the
-    complement of the block atom is what attacks take aim at.  Defeaters
-    collapse to a single defeasible rule against the block atom of the
-    opposing polarity, so they keep their attacking power but lose any
-    ability to support or counterattack.
-    """
-    label, antecedent, kind, head = rule.label, rule.antecedent, rule.kind, rule.head
-    if kind is RuleKind.DEFEATER:
-        target = block._negative if head.positive else support._negative
-        return [Rule(label, antecedent, RuleKind.DEFEASIBLE, target)]
-    plus, minus = f"{label}$+", f"{label}$-"
-    if head.positive:
-        return [
-            Rule(plus, antecedent, kind, support._positive),
-            Rule(minus, antecedent, kind, block._negative),
-            Rule(label, (support._positive,), kind, head),
-        ]
-    return [
-        Rule(minus, antecedent, kind, block._positive),
-        Rule(plus, antecedent, kind, support._negative),
-        Rule(label, (block._positive,), kind, head),
-    ]
+    return _run(theory, _normal)
 
 
 def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
@@ -233,40 +315,9 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     unrelated heads would have no effect on inference and are not emitted.
     """
     _require_ground(theory, "elim_dft")
-    for atom in theory.atoms:
-        if atom.name.startswith((_PLUS, _MINUS)):
-            raise TransformError("already transformed")
-    return _with_report(theory, *_elim_dft(theory))
-
-
-def _elim_dft(theory: Theory) -> tuple[Theory, dict[str, str]]:
-    origins: dict[str, str] = {}
-    rules: list[Rule] = []
-    images: dict[str, list[Rule]] = {}
-    minted: dict[Atom, tuple[Atom, Atom]] = {}  # head atom -> its support and block atoms
-    for rule in theory.rules:
-        atom = rule.head.atom
-        support_block = minted.get(atom)
-        if support_block is None:
-            support_block = minted[atom] = Atom(f"{_PLUS}{atom})"), Atom(f"{_MINUS}{atom})")
-        translated = images[rule.label] = _dft_images(rule, *support_block)
-        rules.extend(translated)
-        origin = f"rule {rule.label}"
-        for new_rule in translated:
-            if new_rule.label != rule.label:
-                origins[new_rule.label] = origin
-            if new_rule.head.atom is not atom:  # a minted atom, without arguments
-                origins.setdefault(new_rule.head.atom.name, origin)
-
-    superiority: set[tuple[str, str]] = set()
-    for sup, inf in sorted(theory.superiority):
-        for sup_image in images[sup]:
-            for inf_image in images[inf]:
-                sup_head, inf_head = sup_image.head, inf_image.head
-                if sup_head.positive != inf_head.positive and sup_head.atom is inf_head.atom:
-                    superiority.add((sup_image.label, inf_image.label))
-
-    return Theory(theory.facts, tuple(rules), frozenset(superiority)), origins
+    if any(atom.name.startswith((_PLUS, _MINUS)) for atom in theory.atoms):
+        raise TransformError("already transformed")
+    return _run(theory, _elim_dft)
 
 
 def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
@@ -289,54 +340,7 @@ def elim_sup(theory: Theory) -> tuple[Theory, TransformReport]:
         raise TransformError(
             "elim_sup requires superiority only between rules with complementary heads"
         )
-    return _with_report(theory, *_elim_sup(theory))
-
-
-def _elim_sup(theory: Theory) -> tuple[Theory, dict[str, str]]:
-    origins: dict[str, str] = {}
-    rules: list[Rule] = [r for r in theory.rules if r.kind is RuleKind.STRICT]
-    # Label of each rule that is not strict -> its `$ip` and `$im` atoms,
-    # which have no arguments: their names are their spellings.
-    inferiority: dict[str, tuple[Atom, Atom]] = {}
-
-    for rule in theory.rules:
-        label, antecedent, kind = rule.label, rule.antecedent, rule.kind
-        if kind is RuleKind.STRICT:
-            continue
-        origin = f"rule {label}"
-        inf_plus, inf_minus = inferiority[label] = Atom(f"$ip({label})"), Atom(f"$im({label})")
-        not_inf_plus, not_inf_minus = inf_plus._negative, inf_minus._negative
-        origins.setdefault(inf_minus.name, origin)
-        derived: list[Rule] = []
-        if kind is RuleKind.DEFEASIBLE:
-            origins.setdefault(inf_plus.name, origin)
-            derived += [
-                Rule(f"{label}$a+", antecedent, kind, not_inf_plus),
-                Rule(f"{label}$b+", (not_inf_plus,), kind, rule.head),
-            ]
-        derived += [
-            Rule(f"{label}$a-", antecedent, RuleKind.DEFEASIBLE, not_inf_minus),
-            Rule(f"{label}$b-", (not_inf_minus,), kind, rule.head),
-        ]
-        rules.extend(derived)
-        for new_rule in derived:
-            origins[new_rule.label] = origin
-
-    for sup, inf in sorted(theory.superiority):
-        origin = f"superiority {sup} > {inf}"
-        (sup_plus, sup_minus), (inf_plus, inf_minus) = inferiority[sup], inferiority[inf]
-        plus_rule = Rule(f"$s+({sup},{inf})", (sup_plus._negative,),
-                         RuleKind.DEFEASIBLE, inf_plus._positive)
-        minus_rule = Rule(f"$s-({sup},{inf})", (sup_minus._negative,),
-                          RuleKind.DEFEASIBLE, inf_minus._positive)
-        rules.extend((plus_rule, minus_rule))
-        origins[plus_rule.label] = origin
-        origins[minus_rule.label] = origin
-        # A defeater's `$ip` occurs only here.
-        origins.setdefault(sup_plus.name, f"rule {sup}")
-        origins.setdefault(inf_plus.name, f"rule {inf}")
-
-    return Theory((), tuple(rules), frozenset()), origins
+    return _run(theory, _elim_sup)
 
 
 def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
@@ -346,9 +350,9 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
     while agreeing with the input on every conclusion over the input's
     atoms; the engine's reduced mode accepts it.  Input must be ground,
     well-formed and free of generated symbols, checked once, here, in that
-    order.  The stages in between are not checked again, because they hold
-    by construction: `normal` of such an input is normal and well-formed,
-    and `elim_dft` keeps both, since it emits a priority only between
+    order.  The stages in between are not checked, because they hold by
+    construction: `normal` of such an input is normal and well-formed, and
+    `elim_dft` keeps both, since it emits a priority only between
     translations with complementary heads and a cycle among its priorities
     would map onto one among those of its input.
     """
@@ -360,13 +364,4 @@ def pipeline(theory: Theory) -> tuple[Theory, TransformReport]:
         raise TransformError(f"pipeline requires a well-formed theory ({problem})")
     if theory.has_generated_symbols:
         raise TransformError("already transformed")
-
-    normalized, origins_1 = _normal(theory)
-    no_defeaters, origins_2 = _elim_dft(normalized)
-    result, origins_3 = _elim_sup(no_defeaters)
-
-    # `elim_sup` renames every rule that is not strict; their stage-2 labels
-    # are not in the result.
-    renamed = {r.label for r in no_defeaters.rules if r.kind is not RuleKind.STRICT}
-    kept_2 = {symbol: origin for symbol, origin in origins_2.items() if symbol not in renamed}
-    return _with_report(theory, result, {**origins_3, **kept_2, **origins_1})
+    return _run(theory, _normal, _elim_dft, _elim_sup)

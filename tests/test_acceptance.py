@@ -31,6 +31,7 @@ from deflog import (
     elim_sup,
     normal,
     parse,
+    pipeline,
     theory_union,
 )
 from deflog.analysis import gen_theory
@@ -199,13 +200,11 @@ def test_criterion_07_transformation_correctness(general_pool, normalized_pool,
 
 
 def test_criterion_08_incrementality():
+    settings = dict(num_atoms=5, num_rules=6, num_facts=2, defeater_fraction=0.2,
+                    strict_fraction=0.3, sup_density=0.1)
     for seed in range(200):
-        d1 = gen_theory(seed, num_atoms=5, num_rules=6, num_facts=2,
-                        defeater_fraction=0.2, strict_fraction=0.3,
-                        sup_density=0.1, label_prefix="r")
-        d2 = gen_theory(seed + 10_000, num_atoms=5, num_rules=6, num_facts=2,
-                        defeater_fraction=0.2, strict_fraction=0.3,
-                        sup_density=0.1, label_prefix="s")
+        d1 = gen_theory(seed, **settings, label_prefix="r")
+        d2 = gen_theory(seed + 10_000, **settings, label_prefix="s")
         union = theory_union(d1, d2)
         if normal(union)[0] != theory_union(normal(d1)[0], normal(d2)[0]):
             fail_with_witness(union, f"normal-incr-{seed}",
@@ -213,6 +212,19 @@ def test_criterion_08_incrementality():
         if elim_dft(union)[0] != theory_union(elim_dft(d1)[0], elim_dft(d2)[0]):
             fail_with_witness(union, f"dft-incr-{seed}",
                               f"elim_dft not incremental on seed {seed}")
+        # `elim_sup` and `pipeline` need well-formed parts; `elim_sup` also
+        # normalized ones.
+        w1 = gen_theory(seed, **settings, force_well_formed=True, label_prefix="r")
+        w2 = gen_theory(seed + 10_000, **settings, force_well_formed=True, label_prefix="s")
+        union = theory_union(w1, w2)
+        if pipeline(union)[0] != theory_union(pipeline(w1)[0], pipeline(w2)[0]):
+            fail_with_witness(union, f"pipeline-incr-{seed}",
+                              f"pipeline not incremental on seed {seed}")
+        n1, n2 = normal(w1)[0], normal(w2)[0]
+        normalized = theory_union(n1, n2)
+        if elim_sup(normalized)[0] != theory_union(elim_sup(n1)[0], elim_sup(n2)[0]):
+            fail_with_witness(normalized, f"sup-incr-{seed}",
+                              f"elim_sup not incremental on seed {seed}")
 
 
 def test_criterion_09_non_modularity_regressions():

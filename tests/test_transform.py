@@ -8,6 +8,7 @@ import pytest
 from deflog import (
     Atom,
     Literal,
+    Rule,
     RuleKind,
     Tag,
     TheoryError,
@@ -280,6 +281,25 @@ class TestPipeline:
         finally:
             sys.setprofile(None)
         assert count <= 3 * len(out.rules)
+
+    def test_builds_only_the_output(self):
+        # The passes compose per item: no middle theory, and a rule only for
+        # each output rule.  Counted as `test_calls_per_output_rule` counts.
+        theory = gen_theory(1, num_atoms=40, num_rules=200, num_facts=10,
+                            defeater_fraction=0.2, strict_fraction=0.3, sup_density=0.05,
+                            force_well_formed=True)
+        built = {Theory.__init__.__code__: 0, Rule.__init__.__code__: 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in built:
+                built[frame.f_code] += 1
+
+        sys.setprofile(profile)
+        try:
+            out, _ = pipeline(theory)
+        finally:
+            sys.setprofile(None)
+        assert built == {Theory.__init__.__code__: 1, Rule.__init__.__code__: len(out.rules)}
 
 
 def seeded_well_formed(seed: int) -> Theory:
