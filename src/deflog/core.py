@@ -11,7 +11,8 @@ value types are plain classes on :class:`_Value`: slotted (except
 their fields in order.  Atoms and literals are hash-consed: constructing one
 returns the single object for its fields, kept for the life of the process,
 so they compare and hash by identity, in C.  An atom is built together with
-its two literals.
+its two literals and its spelling, which every printer and matcher reads
+instead of spelling the atom again.
 
 Atoms may carry arguments.  Uppercase-initial arguments are variables, which
 makes the enclosing rule a schema; :func:`ground` expands schemas over the
@@ -109,7 +110,7 @@ class Atom(_Value):
     There is one atom per ``(name, args)``: equal atoms are the same object.
     """
 
-    __slots__ = ("name", "args", "_positive", "_negative")  # the last two: its literals
+    __slots__ = ("name", "args", "_text", "_positive", "_negative")  # spelling, literals
     name: str
     args: tuple[str, ...]
     # (name, args) -> the atom.  `setdefault` keeps the first of two atoms
@@ -127,6 +128,7 @@ class Atom(_Value):
             atom = object.__new__(cls)
             _assign(atom, "name", name)
             _assign(atom, "args", args)
+            _assign(atom, "_text", f"{name}({','.join(args)})" if args else name)
             for slot, positive in (("_positive", True), ("_negative", False)):
                 literal = object.__new__(Literal)
                 _assign(literal, "atom", atom)
@@ -145,9 +147,7 @@ class Atom(_Value):
         return not any(_is_variable(a) for a in self.args)
 
     def __str__(self) -> str:
-        if self.args:
-            return f"{self.name}({','.join(self.args)})"
-        return self.name
+        return self._text
 
 
 class Literal(_Value):
@@ -176,7 +176,7 @@ class Literal(_Value):
         return self.atom.is_ground
 
     def __str__(self) -> str:
-        return str(self.atom) if self.positive else f"~{self.atom}"
+        return self.atom._text if self.positive else "~" + self.atom._text
 
 
 # An atom's two literals, positive first, read without a Python-level call.
@@ -184,9 +184,9 @@ _LITERALS_OF = attrgetter("_positive", "_negative")
 
 
 def _spellings(atoms: Iterable[Atom | str]) -> set[str]:
-    """`str` of each of `atoms`, called only on atoms with arguments: a
-    string spells itself and an atom without arguments is its name."""
-    return {a if isinstance(a, str) else str(a) if a.args else a.name for a in atoms}
+    """The spelling of each of `atoms`, without a Python-level call: a
+    string spells itself and an atom keeps its own."""
+    return {a if isinstance(a, str) else a._text for a in atoms}
 
 
 # Sorts literals without a Python-level call, by spelling and then sign; sort
@@ -343,7 +343,8 @@ class Theory(_Value):
     @property
     def has_generated_symbols(self) -> bool:
         # A list, as in `is_ground`.
-        return any([a.generated for a in self.atoms]) or any(r.generated for r in self.rules)
+        return (len(self._user_atoms) < len(self.atoms)
+                or any([GENERATED_MARKER in r.label for r in self.rules]))
 
     def size(self) -> int:
         """Number of knowledge units: facts + rules + superiority pairs."""
@@ -384,9 +385,10 @@ def check_well_formed(theory: Theory) -> WellFormedReport:
         acyclic = False
     else:
         acyclic = True
-    heads = ((theory.rule_map[sup].head, theory.rule_map[inf].head)
-             for sup, inf in theory.superiority)
-    complementary = all(b is a.complement() for a, b in heads)
+    # A list, as in `Theory.is_ground`: the pairs iterate in string-hash order.
+    rule_map = theory.rule_map
+    heads = [(rule_map[sup].head, rule_map[inf].head) for sup, inf in theory.superiority]
+    complementary = all([a.atom is b.atom and a.positive != b.positive for a, b in heads])
     return WellFormedReport(acyclic=acyclic, complementary=complementary)
 
 
@@ -424,10 +426,9 @@ def check_normal(theory: Theory) -> NormalFormReport:
         for r in theory.rules if r.kind is not strict
     )
     strict_labels = {r.label for r in strict_rules}
-    sup_ok = all(
-        sup not in strict_labels and inf not in strict_labels
-        for sup, inf in theory.superiority
-    )
+    # A list, as in `check_well_formed`.
+    sup_ok = all([sup not in strict_labels and inf not in strict_labels
+                  for sup, inf in theory.superiority])
     return NormalFormReport(
         literal_rule_condition=literal_ok,
         no_strict_in_sup=sup_ok,

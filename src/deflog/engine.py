@@ -122,30 +122,29 @@ class ConclusionSet(_Value):
                 raise AssertionError(message)
 
     def restrict(self, atoms: Iterable[Atom | str]) -> ConclusionSet:
-        """Keep only literals over the given atoms, matched by spelling: an
-        argument-less atom named ``g(c)`` matches the atom ``g(c)``."""
+        """Keep only literals over the given atoms, matched by the spelling
+        each atom keeps from its mint: an argument-less atom named ``g(c)``
+        matches the atom ``g(c)``."""
         keep = _spellings(atoms)
         sets = self._values(self)
         # The argument-less atom spelled `w` is the one named `w`, if it
         # exists; only a spelling with a "(" can be an atom's with arguments.
         found = [Atom._shared.get((w, ())) for w in keep]
         if any(["(" in w for w in keep]):
-            found += [a for a in {l.atom for s in sets for l in s}
-                      if a.args and str(a) in keep]
+            found += [a for a in {l.atom for s in sets for l in s} if a._text in keep]
         kept = frozenset(chain.from_iterable(map(_LITERALS_OF, filter(None, found))))
         return ConclusionSet(*map(kept.intersection, sets))
 
     def lines(self) -> list[str]:
         """The serialized listing: one `<tag> <literal>` per line, sorted.
 
-        A literal is spelled without a Python-level call unless its atom has
-        arguments; lines of one tag share their prefix up to the sign, so
+        A literal is spelled without a Python-level call, from its atom's
+        spelling; lines of one tag share their prefix up to the sign, so
         sorting them sorts the literals' spellings."""
         out: list[str] = []
         for tag, literals in zip(_TAGS, self._values(self)):
             sign = (f"{tag.value} ~", f"{tag.value} ")  # indexed by `positive`
-            lines = [sign[l.positive] + (str(l.atom) if l.atom.args else l.atom.name)
-                     for l in literals]
+            lines = [sign[l.positive] + l.atom._text for l in literals]
             lines.sort()
             out += lines
         return out
@@ -528,7 +527,7 @@ def prove(
     _check_preconditions(theory, mode)
     solver = _solved(theory)
     if goal.literal not in solver.ids:
-        raise PreconditionError(f"unknown atom: {goal.literal.atom}")
+        raise PreconditionError(f"unknown atom: {goal.literal.atom._text}")
     target = solver.ids[goal.literal] << 2 | _TAGS.index(goal.tag)
     seq = solver.seq
     if target not in seq:

@@ -133,7 +133,7 @@ def _normal(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
     bridges: dict[Literal, str] = {}  # literal -> the origin of its bridge
 
     def primed(literal):  # prime maps through literals: ~p primes to ~(p')
-        atom = Atom(f"$p({literal.atom})")
+        atom = Atom(f"$p({literal.atom._text})")
         return atom._positive if literal.positive else atom._negative
 
     def rules(images):
@@ -147,9 +147,8 @@ def _normal(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
             primed_head = primed(head)
             primed_antecedent = sorted([primed(a) for a in antecedent], key=_LITERAL_ORDER)
             origins[primed_label] = origin
-            # A primed atom has no arguments: its name is its spelling.
             for a in (primed_head, *primed_antecedent):
-                origins.setdefault(a.atom.name, origin)
+                origins.setdefault(a.atom._text, origin)
             bridges.setdefault(head, origin)
             out += ((primed_label, frozenset(primed_antecedent), _STRICT, primed_head),
                     (label, antecedent, _DEFEASIBLE, head))
@@ -159,7 +158,7 @@ def _normal(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
         for fact in facts:
             origin, label, head = f"fact {fact}", f"$f({fact})", primed(fact)
             origins[label] = origin
-            origins.setdefault(head.atom.name, origin)
+            origins.setdefault(head.atom._text, origin)
             bridges.setdefault(fact, origin)
             made.append((label, (), _STRICT, head))
         for literal in sorted(bridges, key=str):
@@ -182,7 +181,7 @@ def _elim_dft(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
         for label, antecedent, kind, head in images:
             atom = head.atom
             if atom not in minted:
-                minted[atom] = Atom(f"{_PLUS}{atom})"), Atom(f"{_MINUS}{atom})")
+                minted[atom] = Atom(f"{_PLUS}{atom._text})"), Atom(f"{_MINUS}{atom._text})")
             support, block = minted[atom]
             if kind is _DEFEATER:
                 new = [(label, antecedent, _DEFEASIBLE,
@@ -199,8 +198,8 @@ def _elim_dft(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
             for new_label, _, _, new_head in new:
                 if new_label != label:
                     origins[new_label] = origin
-                if new_head.atom is not atom:  # a minted atom, without arguments
-                    origins.setdefault(new_head.atom.name, origin)
+                if new_head.atom is not atom:  # a minted atom
+                    origins.setdefault(new_head.atom._text, origin)
             out += translated.setdefault(label, new)  # labels are unique: it stores `new`
         return out
 
@@ -227,11 +226,10 @@ def _elim_sup(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
             earlier.pop(label, None)  # renamed here, the label is not in the output
             origin = f"rule {label}"
             inf_plus, inf_minus = inf_atoms[label] = Atom(f"$ip({label})"), Atom(f"$im({label})")
-            # The inferiority atoms have no arguments: their names are their spellings.
-            origins.setdefault(inf_minus.name, origin)
+            origins.setdefault(inf_minus._text, origin)
             new = []
             if kind is _DEFEASIBLE:
-                origins.setdefault(inf_plus.name, origin)
+                origins.setdefault(inf_plus._text, origin)
                 new += [(f"{label}$a+", antecedent, kind, inf_plus._negative),
                         (f"{label}$b+", (inf_plus._negative,), kind, head)]
             new += [(f"{label}$a-", antecedent, _DEFEASIBLE, inf_minus._negative),
@@ -249,8 +247,8 @@ def _elim_sup(origins: dict[str, str], earlier: dict[str, str]) -> _Pass:
             made += [(plus, (sup_plus._negative,), _DEFEASIBLE, inf_plus._positive),
                      (minus, (sup_minus._negative,), _DEFEASIBLE, inf_minus._positive)]
             # A defeater's `$ip` occurs only here.
-            origins.setdefault(sup_plus.name, f"rule {sup}")
-            origins.setdefault(inf_plus.name, f"rule {inf}")
+            origins.setdefault(sup_plus._text, f"rule {sup}")
+            origins.setdefault(inf_plus._text, f"rule {inf}")
         return ()
 
     return _Pass(rules, pairs=pairs, strict_first=True)
@@ -315,7 +313,8 @@ def elim_dft(theory: Theory) -> tuple[Theory, TransformReport]:
     unrelated heads would have no effect on inference and are not emitted.
     """
     _require_ground(theory, "elim_dft")
-    if any(atom.name.startswith((_PLUS, _MINUS)) for atom in theory.atoms):
+    # A list: `atoms` iterates in memory-address order, so it checks every atom.
+    if any([atom.name.startswith((_PLUS, _MINUS)) for atom in theory.atoms]):
         raise TransformError("already transformed")
     return _run(theory, _elim_dft)
 

@@ -4,6 +4,7 @@ import pytest
 
 from deflog import (
     Atom,
+    ConclusionSet,
     Literal,
     Outcome,
     PairStatus,
@@ -61,6 +62,13 @@ class TestClassify:
     def test_negative_literals_classify_symmetrically(self):
         first, second = outcomes_of("r: => ~p.")
         assert (first, second) == (Outcome.F, Outcome.D)
+
+
+    def test_sets_that_admit_two_outcomes_are_refused(self):
+        none, only_p = frozenset(), frozenset({P})
+        with pytest.raises(AssertionError, match=r"^outcomes \[<Outcome.B: 'B'>, "
+                                                 r"<Outcome.F: 'F'>\] for p: not a partition$"):
+            classify(ConclusionSet(none, none, only_p, only_p), P)
 
 
 class TestPairTable:

@@ -1,6 +1,6 @@
 """`tools/bench_pairs.py` with `subprocess` patched, so it starts no process:
-its argument rules, how it counts a run that prints no result, and the
-trees and environment the runs get."""
+its argument rules, how it counts a run that prints no result, its verdict
+against each bound, and the trees and environment the runs get."""
 
 import importlib.util
 import json
@@ -67,7 +67,35 @@ def test_run_without_a_result_line_fails_only_its_pair(bench_pairs, monkeypatch,
     assert "pair 1 seed 1 base: correct=True" in out
     assert "pair 1 seed 1 change" not in out
     assert "props-library, 9 pairs, seeds 1-10" in out
-    assert "| `units_per_s` (1/s) | 10 (10-10) | 10 (10-10) | 1.000 | 0/9 |" in out
+    assert "| `units_per_s` (1/s) | 10 (10-10) | 10 (10-10) | 1.000 | 0/9 | ok |" in out
+
+
+@pytest.mark.parametrize("base, change, judged", [
+    ([10.0] * 10, [8.0] * 10, "ok"),  # 20% worse, within the bound of 24%
+    ([10.0] * 10, [7.0] * 10, "worse"),  # 30% worse
+    ([5.0, 15.0] * 5, [10.0] * 10, "unresolved"),  # base quartiles 5-15, wider than 2.4
+    ([5.0, 15.0] * 5, [16.0] * 10, "ok"),  # as wide, but every change run beats every base run
+], ids=["ok-within-bound", "worse", "unresolved", "ok-beats-every-run"])
+def test_verdict_against_the_bound(bench_pairs, monkeypatch, capsys, base, change, judged):
+    # `units_per_s` is better higher, with a bound of 0.24 in BENCHMARK.json.
+    values = {"base": base, "change": change}
+
+    def fake_run(argv, **kwargs):
+        if argv[:2] == ["git", "-C"]:  # `git diff --quiet`: the trees differ
+            return subprocess.CompletedProcess(argv, 1)
+        side = "change" if kwargs["cwd"].name.startswith("bench-pairs-change-") else "base"
+        value = values[side][int(argv[argv.index("--seed") + 1]) - 1]
+        result = {"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {"units_per_s": {"value": value, "unit": "1/s"}}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, into: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda into: None)
+    assert bench_pairs.main(["--workload", "props-library", "--seed", "1", "--base", "HEAD"]) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("| `units_per_s`")]
+    assert row.endswith(f" | {judged} |")
 
 
 def test_both_sides_run_in_fresh_trees_writing_no_bytecode(bench_pairs, monkeypatch):

@@ -261,6 +261,18 @@ class TestTheory:
         assert {str(a) for a in n.sigma.atoms} == {"a", "b", "c", "d", "e"}
         assert all("$" not in label for label in n.sigma.labels)
 
+    def test_size_counts_facts_rules_and_pairs(self):
+        assert Theory().size() == 0
+        assert parse("p. q. r1: => s. r2: => ~s. r1 > r2.").size() == 5
+
+    @pytest.mark.parametrize("source, generated", [
+        ("r: p => q. r > r.", False),
+        ("r: p => $p(q).", True),
+        ("r$p: p => q.", True),
+    ], ids=["user", "atom", "label"])
+    def test_has_generated_symbols(self, source, generated):
+        assert parse(source, allow_generated=True).has_generated_symbols is generated
+
     def test_sigma_of_source_theory(self, example2):
         assert {str(a) for a in example2.sigma.atoms} == {"a", "b", "c", "d", "e"}
         assert example2.sigma.labels == {"r1", "r2", "r3", "r4"}
@@ -377,6 +389,13 @@ class TestOneObjectPerValue:
             assert twin is x
             for y in pool:
                 assert (x == y) == (x is y)
+
+    def test_an_atom_is_spelled_once_when_minted(self):
+        name = "".join(["spelled", "_once"])  # fresh: no other test builds it
+        bare, applied = Atom(name), Atom(name, ("a", "b"))
+        assert str(bare) is name  # an argument-less atom's spelling is its name
+        assert str(applied) == "spelled_once(a,b)" and str(applied) is str(applied)
+        assert str(Literal(applied, False)) == "~spelled_once(a,b)"
 
     def test_identity_hash_and_equality_run_in_c(self):
         for x in self.pool():

@@ -7,6 +7,7 @@ import pytest
 
 from deflog import (
     Atom,
+    ConclusionSet,
     Derivation,
     DerivationLine,
     Literal,
@@ -201,6 +202,20 @@ class TestInvariants:
         total = (len(c.plus_delta) + len(c.minus_delta)
                  + len(c.plus_partial) + len(c.minus_partial))
         assert total <= 4 * literal_count
+
+    # Which sets hold `p`, in field order.  The fifth relation, +D and -d
+    # disjoint, follows from the second and third, so no sets break it alone.
+    @pytest.mark.parametrize("holds, message", [
+        ("1000", "+D must imply +d"),
+        ("0001", "-d must imply -D"),
+        ("1110", "+D and -D must be disjoint"),
+        ("0111", "+d and -d must be disjoint"),
+    ])
+    def test_validate_names_the_broken_relation(self, holds, message):
+        sets = [frozenset({P}) if bit == "1" else frozenset() for bit in holds]
+        with pytest.raises(AssertionError) as error:
+            ConclusionSet(*sets).validate()
+        assert str(error.value) == message
 
     def test_checks_raise_under_python_O(self):
         # `-O` strips `assert` statements; these three checks raise explicitly.

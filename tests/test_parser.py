@@ -151,6 +151,9 @@ _BAD_BRACKET = ("malformed generated symbol: '[' groups close on their own line"
     ("r: => $pé(a) ~", True, "1:9: unexpected character 'é'"),
     ("r: => $p($p($p($p(a))).\nq.", True, f"1:7: {_BAD_PAREN}"),
     ("r: => $p((((((a\n", True, f"1:7: {_BAD_PAREN}"),
+    ("R1: => p.", False, "1:1: labels must start with a lowercase letter"),
+    ("r1: => p. r1 > .", False, "1:16: expected a rule label"),
+    ("r1: => p. r2: => ~p. r1 > r2 x", False, "1:30: expected '.'"),
     ("r1[x[y[z]]: => p.", True, f"1:3: {_BAD_BRACKET}"),
     ("r: => p.\n% $p(((( [[[[\nq &", True, "3:3: unexpected character '&'"),
 ])
@@ -177,6 +180,14 @@ class TestPrint:
         source = GOLDEN.joinpath("example2.dfl").read_text()
         printed = print_theory(normal(parse(source))[0])
         assert "r1: a => b." in printed.splitlines()
+
+    def test_rules_print_as_print_theory_prints_them(self):
+        # `print_theory` inlines `Rule.__str__` for speed; the two must agree.
+        sections = GOLDEN.joinpath("stages.txt").read_text().split("== ")[1:]
+        for section in sections:
+            t = parse(section.split("\n", 1)[1].split("-- origins\n")[0], allow_generated=True)
+            lines = print_theory(t).splitlines()[len(t.facts):len(t.facts) + len(t.rules)]
+            assert [f"{rule}." for rule in t.rules] == lines
 
     def test_superiority_sorted(self):
         t = parse("r2: => ~p. r1: => p. r1 > r2. r2 > r1.")

@@ -381,6 +381,60 @@ def test_origins_order_does_not_depend_on_memory_addresses():
     assert keys[0] == keys[1]
 
 
+def test_failing_checks_do_not_depend_on_set_order():
+    """`elim_dft`'s "already transformed" check scans `Theory.atoms`, which
+    iterates in memory-address order, and the superiority checks of
+    `check_well_formed` and `check_normal` scan string pairs, which iterate
+    in string-hash order.  Each checks every element, so on input that fails
+    it, its Python-level calls follow neither the hash seed nor the objects
+    built before."""
+    code = """if True:
+        import sys
+        from deflog import (Atom, Theory, TransformError, check_normal, check_well_formed,
+                            elim_dft)
+        from deflog.analysis import gen_theory
+        unrelated = [Atom(f"u{i}", ("c",)) for i in range(int(sys.argv[1]))]
+        calls = 0
+
+        def tally(frame, event, arg):
+            global calls
+            calls += event == "call"
+
+        def counted(fn, theory):
+            global calls
+            calls = 0
+            sys.setprofile(tally)
+            try:
+                fn(theory)
+            except TransformError:
+                pass
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        for seed in range(30):
+            theory = gen_theory(seed, num_atoms=20, num_rules=40, num_facts=2,
+                                defeater_fraction=0.2, strict_fraction=0.4, sup_density=0.1)
+            # Well-formed but for one pair, so most pairs pass the check.
+            wf = gen_theory(seed, num_atoms=4, num_rules=40, sup_density=0.2,
+                            force_well_formed=True)
+            first = wf.rules[0]
+            other = next(r for r in wf.rules[1:] if r.head is not first.head.complement())
+            mixed = Theory(wf.facts, wf.rules, wf.superiority | {(first.label, other.label)})
+            print(counted(elim_dft, elim_dft(theory)[0]), counted(check_well_formed, mixed),
+                  counted(check_normal, theory))
+            assert not (check_well_formed(mixed).complementary
+                        or check_normal(theory).no_strict_in_sup)
+    """
+    src = str(Path(__file__).parent.parent / "src")
+    counts = {(seed, unrelated): subprocess.run(
+                  [sys.executable, "-c", code, unrelated], capture_output=True, text=True,
+                  check=True, timeout=120,
+                  env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+              for seed in ("0", "1") for unrelated in ("0", "5000")}
+    assert len(set(counts.values())) == 1, counts
+
+
 class TestNonModularityRegressions:
     def test_normalization_is_not_modular(self):
         d1 = parse("r1: a -> b.")

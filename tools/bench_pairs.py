@@ -18,8 +18,12 @@ empty `PYTHONPYCACHEPREFIX` would do the same, but would also make every
 process compile the standard library afresh: importing `deflog.cli` took
 0.47 s that way against 0.11 s on 2 vCPUs with CPython 3.11.7.)  Prints
 every run, then per end-to-end metric of `BENCHMARK.json` each side's
-median and quartiles and the pairs the working tree won (ties count for
-neither), and deletes the directories.  Exits 1 if any run failed or
+median and quartiles, the pairs the working tree won (ties count for
+neither) and a verdict against the metric's `bound`, and deletes the
+directories.  The verdict is `worse` if the change's median is worse than
+the base median by more than `bound` times the base median; `unresolved` if
+the base runs' quartiles lie further apart than that and not every change
+run beats every base run; `ok` otherwise.  Exits 1 if any run failed or
 reported a failed operation; a run whose last line is not a result object
 counts as failed and is left out of the pairs.
 """
@@ -98,6 +102,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], change: list[float], bound: float, higher: bool) -> str:
+    """`worse`, `unresolved` or `ok`: one metric's runs against its bound,
+    as the module docstring defines them."""
+    (q1, median, q3), change_median = quartiles(base), quartiles(change)[1]
+    margin = bound * abs(median)
+    if (median - change_median if higher else change_median - median) > margin:
+        return "worse"
+    beats = min(change) > max(base) if higher else max(change) < min(base)
+    return "unresolved" if q3 - q1 > margin and not beats else "ok"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -144,9 +159,9 @@ def main(argv: list[str] | None = None) -> int:
     last = args.seed + args.pairs - 1
     print(f"\n{args.workload}, {len(pairs)} pairs, seeds {args.seed}-{last}, "
           f"{seconds:g} s runs, base {args.base}: median (quartiles); "
-          "won = pairs the change read better")
-    print("| metric | base | change | change/base | won |")
-    print("|---|---|---|---|---|")
+          "won = pairs the change read better; verdict against the metric's bound")
+    print("| metric | base | change | change/base | won | verdict |")
+    print("|---|---|---|---|---|---|")
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         values = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs
@@ -158,8 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         base_q, change_q = quartiles(base), quartiles(change)
         ratio = f"{change_q[1] / base_q[1]:.3f}" if base_q[1] else "-"
         (b1, b2, b3), (c1, c2, c3) = map(number, base_q), map(number, change_q)
+        judged = verdict(base, change, metric["bound"], higher)
         print(f"| `{name}` ({metric['unit']}) | {b2} ({b1}-{b3}) | {c2} ({c1}-{c3}) "
-              f"| {ratio} | {won}/{len(values)} |")
+              f"| {ratio} | {won}/{len(values)} | {judged} |")
     return 0 if ok else 1
 
 
