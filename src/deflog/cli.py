@@ -63,8 +63,7 @@ def _cmd_conclusions(args: argparse.Namespace) -> int:
     from .engine import Mode, conclusions
 
     theory = _prepare(_load(args.input, args.allow_generated), args.ground)
-    mode = Mode.REDUCED if args.mode == "reduced" else Mode.FULL
-    result = conclusions(theory, mode,
+    result = conclusions(theory, Mode(args.mode),
                          extra_atoms=_atoms(args.atoms, "--atoms", args.allow_generated))
     # The theory keeps its solve; free both before the listing is built.
     del theory

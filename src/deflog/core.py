@@ -9,10 +9,10 @@ compare structurally, ignoring the storage order of facts and rules.  The
 value types are plain classes on :class:`_Value`: slotted (except
 :class:`Theory`, whose derived views are cached properties) and compared by
 their fields in order.  Atoms and literals are hash-consed: constructing one
-returns the single object for its fields, kept for the life of the process,
-so they compare and hash by identity, in C.  An atom is built together with
-its two literals and its spelling, which every printer and matcher reads
-instead of spelling the atom again.
+returns the single object for its fields, kept for the life of the process
+in a table no other module reads, so they compare and hash by identity, in
+C.  An atom is built together with its two literals and its spelling, which
+every printer and matcher reads instead of spelling the atom again.
 
 Atoms may carry arguments.  Uppercase-initial arguments are variables, which
 makes the enclosing rule a schema; :func:`ground` expands schemas over the
@@ -31,7 +31,7 @@ from collections import Counter
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 GENERATED_MARKER = "$"
 
@@ -235,10 +235,14 @@ class Rule(_Value):
         return all([lit.is_ground for lit in (self.head, *self.antecedent)])
 
     def __str__(self) -> str:
-        ants = ", ".join(sorted(str(a) for a in self.antecedent))
-        if ants:
-            return f"{self.label}: {ants} {self.kind.arrow} {self.head}"
-        return f"{self.label}: {self.kind.arrow} {self.head}"
+        return _rule_line(self, str)
+
+
+def _rule_line(rule: Rule, spell: Callable[[Literal], str]) -> str:
+    """`rule` as a `.dfl` line without its ``.``, each literal spelled by `spell`."""
+    ants = ", ".join(sorted(map(spell, rule.antecedent)))
+    body = f"{ants} {rule.kind._value_}" if ants else rule.kind._value_
+    return f"{rule.label}: {body} {spell(rule.head)}"
 
 
 class Sigma(_Value):

@@ -81,10 +81,10 @@ _TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
 class ConclusionSet(_Value):
     """The four conclusion sets of a theory.
 
-    On every engine result the five structural relations hold:
+    On every engine result the four structural relations hold:
     plus_delta is contained in plus_partial, minus_partial in minus_delta,
-    and plus_delta/minus_delta, plus_partial/minus_partial and
-    plus_delta/minus_partial are pairwise disjoint.
+    and plus_delta/minus_delta and plus_partial/minus_partial are pairwise
+    disjoint.  So plus_delta and minus_partial are disjoint too.
     """
 
     __slots__ = ("plus_delta", "minus_delta", "plus_partial", "minus_partial")
@@ -111,13 +111,13 @@ class ConclusionSet(_Value):
                 self.plus_partial, self.minus_partial)[_TAGS.index(tag)]
 
     def validate(self) -> None:
-        """Check the five structural relations; raise AssertionError if broken."""
+        """Check the four structural relations, which also make +D and -d
+        disjoint; raise AssertionError if broken."""
         for holds, message in (
                 (self.plus_delta <= self.plus_partial, "+D must imply +d"),
                 (self.minus_partial <= self.minus_delta, "-d must imply -D"),
                 (self.plus_delta.isdisjoint(self.minus_delta), "+D and -D must be disjoint"),
-                (self.plus_partial.isdisjoint(self.minus_partial), "+d and -d must be disjoint"),
-                (self.plus_delta.isdisjoint(self.minus_partial), "+D and -d must be disjoint")):
+                (self.plus_partial.isdisjoint(self.minus_partial), "+d and -d must be disjoint")):
             if not holds:
                 raise AssertionError(message)
 
@@ -126,14 +126,8 @@ class ConclusionSet(_Value):
         each atom keeps from its mint: an argument-less atom named ``g(c)``
         matches the atom ``g(c)``."""
         keep = _spellings(atoms)
-        sets = self._values(self)
-        # The argument-less atom spelled `w` is the one named `w`, if it
-        # exists; only a spelling with a "(" can be an atom's with arguments.
-        found = [Atom._shared.get((w, ())) for w in keep]
-        if any(["(" in w for w in keep]):
-            found += [a for a in {l.atom for s in sets for l in s} if a._text in keep]
-        kept = frozenset(chain.from_iterable(map(_LITERALS_OF, filter(None, found))))
-        return ConclusionSet(*map(kept.intersection, sets))
+        return ConclusionSet(*[frozenset([l for l in s if l.atom._text in keep])
+                               for s in self._values(self)])
 
     def lines(self) -> list[str]:
         """The serialized listing: one `<tag> <literal>` per line, sorted.
@@ -226,12 +220,13 @@ class _Solver:
     """Counter-driven worklist fixpoint over integer tables.
 
     Compilation numbers every literal once, in two tables that invert each
-    other: `ids` maps a literal to its number ``q`` and `literals` maps ``q``
-    back.  An atom's literals are ``2 * i`` (positive) and ``2 * i + 1``, so
-    the complement of ``q`` is ``q ^ 1``.  Atoms are numbered in an order
-    that does not follow memory addresses, so the log is the same in every
-    process: those of facts and heads in theory order, then those only
-    antecedents mention by (name, args).  Rules keep their theory order.
+    other: `ids` maps a literal to its number ``q`` (after compilation only
+    :func:`prove` reads it) and `literals` maps ``q`` back.  An atom's
+    literals are ``2 * i`` (positive) and ``2 * i + 1``, so the complement of
+    ``q`` is ``q ^ 1``.  Atoms are numbered in an order that does not follow
+    memory addresses, so the log is the same in every process: those of
+    facts and heads in theory order, then those only antecedents mention by
+    (name, args).  Rules keep their theory order.
     Per literal there are `fact`, the rules with that head (`rules_for`) and
     the rules with it in their antecedent (`uses`), both ascending; per
     rule, its `head`, the `size` of its antecedent, whether it is `strict`
@@ -503,8 +498,8 @@ def conclusions(
     found = [frozenset(compress(solver.literals, done)) for done in solver.derived]
     # An atom with no fact and no rule has both of its literals refuted at
     # both levels, and nothing else.
-    extra = [Atom(a) if isinstance(a, str) else a for a in extra_atoms]
-    absent = frozenset(chain.from_iterable(map(_LITERALS_OF, extra))).difference(solver.ids)
+    extra = {Atom(a) if isinstance(a, str) else a for a in extra_atoms}
+    absent = frozenset(chain.from_iterable(map(_LITERALS_OF, extra - theory.atoms)))
     if absent:
         found[_MD] |= absent
         found[_MP] |= absent
@@ -526,7 +521,7 @@ def prove(
     """
     _check_preconditions(theory, mode)
     solver = _solved(theory)
-    if goal.literal not in solver.ids:
+    if goal.literal.atom not in theory.atoms:
         raise PreconditionError(f"unknown atom: {goal.literal.atom._text}")
     target = solver.ids[goal.literal] << 2 | _TAGS.index(goal.tag)
     seq = solver.seq

@@ -61,13 +61,10 @@ from .core import (
     Theory,
     _LITERALS_OF,
     _is_variable,
+    _rule_line,
 )
 
-_ARROWS = {
-    "->": RuleKind.STRICT,
-    "=>": RuleKind.DEFEASIBLE,
-    "~>": RuleKind.DEFEATER,
-}
+_ARROWS = {kind.value: kind for kind in RuleKind}
 
 
 class ParseError(DeflogError):
@@ -296,18 +293,15 @@ def parse_atoms(text: str, *, allow_generated: bool = False) -> list[Atom]:
 def print_theory(theory: Theory) -> str:
     """Serialize a theory in the grammar above.
 
-    Facts come first in stored order, then rules in stored order, then
-    superiority pairs sorted lexicographically.  Antecedents are printed
-    sorted, so output is deterministic.  The empty theory prints as the
-    empty string; round-tripping through :func:`parse` reproduces the
-    theory (generated symbols need `allow_generated=True`).
+    Facts come first in stored order, then rules in stored order, as
+    `str(rule)` writes them, then superiority pairs sorted lexicographically.
+    Antecedents are printed sorted, so output is deterministic.  The empty
+    theory prints as the empty string; round-tripping through :func:`parse`
+    reproduces the theory (generated symbols need `allow_generated=True`).
     """
     spell = functools.cache(str)  # each literal is spelled once per call
     lines = [f"{spell(fact)}." for fact in theory.facts]
-    for rule in theory.rules:  # as `Rule.__str__` does, reading the arrow without a call
-        ants = ", ".join(sorted(map(spell, rule.antecedent)))
-        body = f"{ants} {rule.kind._value_}" if ants else rule.kind._value_
-        lines.append(f"{rule.label}: {body} {spell(rule.head)}.")
+    lines += [f"{_rule_line(rule, spell)}." for rule in theory.rules]
     lines.extend(f"{sup} > {inf}." for sup, inf in sorted(theory.superiority))
     if not lines:
         return ""

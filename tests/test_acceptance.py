@@ -45,7 +45,7 @@ RECORDER = {"results": 0, "acyclic": 0}
 def checked(theory: Theory, mode: Mode = Mode.FULL, extra_atoms=()):
     """conclusions() plus the single-theory sanity properties.
 
-    The engine itself verifies the five structural set relations on every
+    The engine itself verifies the four structural set relations on every
     result.  On top of that: a literal is never defeasibly provable unless
     it is definitely provable or its complement is definitely refuted; a
     definitely refuted literal with a definitely provable complement is

@@ -67,18 +67,11 @@ def test_run_without_a_result_line_fails_only_its_pair(bench_pairs, monkeypatch,
     assert "pair 1 seed 1 base: correct=True" in out
     assert "pair 1 seed 1 change" not in out
     assert "props-library, 9 pairs, seeds 1-10" in out
-    assert "| `units_per_s` (1/s) | 10 (10-10) | 10 (10-10) | 1.000 | 0/9 | ok |" in out
+    assert "| `units_per_s` (1/s) | 10 (10-10) | 10 (10-10) | 1.000 | 1.000 | 0/9 | ok |" in out
 
 
-@pytest.mark.parametrize("base, change, judged", [
-    ([10.0] * 10, [8.0] * 10, "ok"),  # 20% worse, within the bound of 24%
-    ([10.0] * 10, [7.0] * 10, "worse"),  # 30% worse
-    ([5.0, 15.0] * 5, [10.0] * 10, "unresolved"),  # base quartiles 5-15, wider than 2.4
-    ([5.0, 15.0] * 5, [16.0] * 10, "ok"),  # as wide, but every change run beats every base run
-], ids=["ok-within-bound", "worse", "unresolved", "ok-beats-every-run"])
-def test_verdict_against_the_bound(bench_pairs, monkeypatch, capsys, base, change, judged):
-    # `units_per_s` is better higher, with a bound of 0.24 in BENCHMARK.json.
-    values = {"base": base, "change": change}
+def units_per_s_row(bench_pairs, monkeypatch, capsys, values) -> str:
+    """The `units_per_s` row of a run whose pairs read `values[side][i]`."""
 
     def fake_run(argv, **kwargs):
         if argv[:2] == ["git", "-C"]:  # `git diff --quiet`: the trees differ
@@ -95,7 +88,30 @@ def test_verdict_against_the_bound(bench_pairs, monkeypatch, capsys, base, chang
     assert bench_pairs.main(["--workload", "props-library", "--seed", "1", "--base", "HEAD"]) == 0
     (row,) = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("| `units_per_s`")]
+    return row
+
+
+@pytest.mark.parametrize("base, change, judged", [
+    ([10.0] * 10, [8.0] * 10, "ok"),  # 20% worse, within the bound of 24%
+    ([10.0] * 10, [7.0] * 10, "worse"),  # 30% worse
+    ([5.0, 15.0] * 5, [10.0] * 10, "unresolved"),  # base quartiles 5-15, wider than 2.4
+    ([5.0, 15.0] * 5, [16.0] * 10, "ok"),  # as wide, but every change run beats every base run
+], ids=["ok-within-bound", "worse", "unresolved", "ok-beats-every-run"])
+def test_verdict_against_the_bound(bench_pairs, monkeypatch, capsys, base, change, judged):
+    # `units_per_s` is better higher, with a bound of 0.24 in BENCHMARK.json.
+    row = units_per_s_row(bench_pairs, monkeypatch, capsys, {"base": base, "change": change})
     assert row.endswith(f" | {judged} |")
+
+
+def test_per_pair_ratio_cancels_a_speed_mode_that_lasts_a_pair(bench_pairs, monkeypatch,
+                                                               capsys):
+    # The host's speed mode (10 fast, 8 slow) flips between runs: both sides
+    # read the same in each pair but pairs 5 and 6, where only the change
+    # ran slow.  So the medians differ by 20%, while the median of the
+    # per-pair ratios reads 1.
+    values = {"base": [10.0] * 6 + [8.0] * 4, "change": [10.0] * 4 + [8.0] * 6}
+    row = units_per_s_row(bench_pairs, monkeypatch, capsys, values)
+    assert row == "| `units_per_s` (1/s) | 10 (8-10) | 8 (8-10) | 0.800 | 1.000 | 0/10 | ok |"
 
 
 def test_both_sides_run_in_fresh_trees_writing_no_bytecode(bench_pairs, monkeypatch):

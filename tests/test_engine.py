@@ -27,7 +27,7 @@ from deflog import (
     replay,
 )
 from deflog.analysis import classify_pair, gen_theory
-from deflog.engine import _TAGS, _Solver
+from deflog.engine import _TAGS, _Solver, _solved
 
 from conftest import GOLDEN, per_literal_restrict
 
@@ -117,9 +117,9 @@ class TestConclusions:
 
 
 class TestSpelling:
-    """`restrict` and `lines` spell an argument-less atom by its name, and
-    call `str` only on atoms with arguments; both must agree with their
-    definitions by `str` on every literal."""
+    """`restrict` and `lines` read the spelling each atom keeps from its
+    mint and call no `str`; both must agree with their definitions by `str`
+    on every literal."""
 
     @staticmethod
     def cases(theories):
@@ -203,8 +203,8 @@ class TestInvariants:
                  + len(c.plus_partial) + len(c.minus_partial))
         assert total <= 4 * literal_count
 
-    # Which sets hold `p`, in field order.  The fifth relation, +D and -d
-    # disjoint, follows from the second and third, so no sets break it alone.
+    # Which sets hold `p`, in field order.  +D and -d disjoint follows from
+    # the second and third relations, so `validate` does not check it.
     @pytest.mark.parametrize("holds, message", [
         ("1000", "+D must imply +d"),
         ("0001", "-d must imply -D"),
@@ -422,6 +422,15 @@ class TestOneSolvePerTheory:
         assert c.restrict(theory.atoms) == conclusions(theory)
         assert c.has(Tag.PLUS_PARTIAL, NOT_P)
         assert len(solvers) == 1
+
+    def test_conclusions_do_not_read_literal_numbers(self):
+        # After compilation only `prove` reads the solver's `ids`; extra
+        # atoms are tested against the theory's own atoms.
+        theory = parse("r1: a => p. r2: => ~p.")
+        extra = ["zz", Atom("q", ("c",)), "a", "p"]
+        expected = conclusions(theory, extra_atoms=extra)
+        del vars(_solved(theory))["ids"]
+        assert conclusions(theory, extra_atoms=extra) == expected
 
     def test_an_interrupted_solve_is_not_kept(self, monkeypatch, solvers):
         source = "f. r1: f -> a. r2: a => p. r3: => ~p. r2 > r3."

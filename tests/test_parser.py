@@ -182,12 +182,13 @@ class TestPrint:
         assert "r1: a => b." in printed.splitlines()
 
     def test_rules_print_as_print_theory_prints_them(self):
-        # `print_theory` inlines `Rule.__str__` for speed; the two must agree.
+        # Both write a rule line through `core._rule_line`, with different spellers.
         sections = GOLDEN.joinpath("stages.txt").read_text().split("== ")[1:]
         for section in sections:
             t = parse(section.split("\n", 1)[1].split("-- origins\n")[0], allow_generated=True)
             lines = print_theory(t).splitlines()[len(t.facts):len(t.facts) + len(t.rules)]
             assert [f"{rule}." for rule in t.rules] == lines
+            assert all(f" {rule.kind.arrow} " in line for rule, line in zip(t.rules, lines))
 
     def test_superiority_sorted(self):
         t = parse("r2: => ~p. r1: => p. r1 > r2. r2 > r1.")

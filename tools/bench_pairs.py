@@ -18,8 +18,11 @@ empty `PYTHONPYCACHEPREFIX` would do the same, but would also make every
 process compile the standard library afresh: importing `deflog.cli` took
 0.47 s that way against 0.11 s on 2 vCPUs with CPython 3.11.7.)  Prints
 every run, then per end-to-end metric of `BENCHMARK.json` each side's
-median and quartiles, the pairs the working tree won (ties count for
-neither) and a verdict against the metric's `bound`, and deletes the
+median and quartiles, the ratio of the two medians, the median of the
+per-pair change/base ratios (a speed mode of the host that lasts a whole
+pair moves both of its runs alike and cancels out of this one, though it
+can move either side's median), the pairs the working tree won (ties count
+for neither) and a verdict against the metric's `bound`, and deletes the
 directories.  The verdict is `worse` if the change's median is worse than
 the base median by more than `bound` times the base median; `unresolved` if
 the base runs' quartiles lie further apart than that and not every change
@@ -159,9 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     last = args.seed + args.pairs - 1
     print(f"\n{args.workload}, {len(pairs)} pairs, seeds {args.seed}-{last}, "
           f"{seconds:g} s runs, base {args.base}: median (quartiles); "
+          "per pair = median of the change/base ratios of the pairs; "
           "won = pairs the change read better; verdict against the metric's bound")
-    print("| metric | base | change | change/base | won | verdict |")
-    print("|---|---|---|---|---|---|")
+    print("| metric | base | change | change/base | per pair | won | verdict |")
+    print("|---|---|---|---|---|---|---|")
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         values = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs
@@ -172,10 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         won = sum((c > b) if higher else (c < b) for b, c in values)
         base_q, change_q = quartiles(base), quartiles(change)
         ratio = f"{change_q[1] / base_q[1]:.3f}" if base_q[1] else "-"
+        ratios = [c / b for b, c in values if b]
+        per_pair = f"{statistics.median(ratios):.3f}" if ratios else "-"
         (b1, b2, b3), (c1, c2, c3) = map(number, base_q), map(number, change_q)
         judged = verdict(base, change, metric["bound"], higher)
         print(f"| `{name}` ({metric['unit']}) | {b2} ({b1}-{b3}) | {c2} ({c1}-{c3}) "
-              f"| {ratio} | {won}/{len(values)} | {judged} |")
+              f"| {ratio} | {per_pair} | {won}/{len(values)} | {judged} |")
     return 0 if ok else 1
 
 
