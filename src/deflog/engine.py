@@ -28,17 +28,18 @@ checked in constant time once one of its inputs crosses a threshold (see
 `_Solver.run`, whose locals they are).  One evaluator serves both modes.
 
 Outside the counters the conditions are written out once more, in
-`_witness`, over whatever literals and rules its caller keeps: `replay`
-checks each line of a derivation with it on the theory's own objects, and
-`prove` uses it on the solver's tables to pick every line's premises among
-the lines the fixpoint logged before it.
+`_witness`, over the theory's own facts, rules and superiority pairs:
+`replay` checks each line of a derivation with it, and `prove` uses it to
+pick every line's premises among the lines the fixpoint logged before it,
+so each logged line it uses is checked against the theory itself, not
+against the compiled tables.
 
 The candidate universe contains both polarities of every atom occurring in
 the theory, so refutations of literals whose polarity is never mentioned are
 still derived.  A theory is compiled and solved once, on its first engine
-call, and the solver, which keeps only its tables, the conclusions and
-their log, is kept on the `Theory` object for every later `conclusions`
-(either mode, any extra atoms) and `prove` call.  Extra atoms
+call, and the solver, which keeps only its literal numbering, the
+conclusions and their log, is kept on the `Theory` object for every later
+`conclusions` (either mode, any extra atoms) and `prove` call.  Extra atoms
 are not compiled: one the theory does not mention has no fact and no rule,
 so `conclusions` adds `-D` and `-d` of both its literals to the result.
 """
@@ -49,7 +50,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
 from operator import and_, attrgetter, not_
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from .core import (
     Atom,
@@ -73,9 +74,12 @@ class Mode(Enum):
     REDUCED = "reduced"
 
 
-# Tag codes, in the order of the four sets; a solver entry is `literal << 2 | code`.
+# Tag codes, in the order of the four sets, which is `Tag`'s declaration
+# order; a solver entry is `literal << 2 | code`.
 _PD, _MD, _PP, _MP = range(4)
-_TAGS = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
+_TAGS = tuple(Tag)
+# Read off `RuleKind` once, at import: such a read costs many times a global's.
+_STRICT, _DEFEATER = RuleKind.STRICT, RuleKind.DEFEATER
 
 
 class ConclusionSet(_Value):
@@ -235,10 +239,11 @@ class _Solver:
     one per declared pair ``t > s``, resolved once; a pair with a defeater
     superior or with non-complementary heads adds nothing.
 
-    Only these tables, the four `derived` sets and the `log` outlive
-    :meth:`run`, which keeps its counters in locals.  Every derivation is
-    logged in order; :func:`prove` explains a logged entry from the entries
-    before it, through the position map `seq` built on its first call.
+    :meth:`run` takes these tables out of the solver as it starts and keeps
+    its counters in locals, so only `literals`, `ids`, the four `derived`
+    sets and the `log` outlive it.  Every derivation is logged in order;
+    :func:`prove` explains a logged entry from the entries before it,
+    through the position map `seq` built on its first call.
     """
 
     def __init__(self, theory: Theory):
@@ -278,11 +283,9 @@ class _Solver:
         for q in map(ids.__getitem__, theory.facts):
             self.fact[q] = 1
         # Comprehensions over the rules' slots, which CPython 3.11 reads
-        # faster than a map over an `attrgetter` does.  The kinds are read
-        # off `RuleKind` once: such a read costs many times a local's.
-        strict, defeater = RuleKind.STRICT, RuleKind.DEFEATER
-        self.strict = bytearray([r.kind is strict for r in rules])
-        self.supports = supports = bytearray([r.kind is not defeater for r in rules])
+        # faster than a map over an `attrgetter` does.
+        self.strict = bytearray([r.kind is _STRICT for r in rules])
+        self.supports = supports = bytearray([r.kind is not _DEFEATER for r in rules])
 
         number = {r.label: i for i, r in enumerate(rules)} if theory.superiority else {}
         self.overrides = _group(m, sorted([
@@ -336,14 +339,13 @@ class _Solver:
         every rule, `live[q]` counts all the rules for `q` and `winning[q]`
         those with an empty antecedent.
         """
-        head, supports, uses, overrides = self.head, self.supports, self.uses, self.overrides
-        strict, fact = self.strict, self.fact
+        head, supports, uses, overrides, strict, fact, fire, rules_for = map(vars(self).pop, (
+            "head", "supports", "uses", "overrides", "strict", "fact", "size", "rules_for"))
         n, m = len(fact), len(head)
-        fire = self.size.copy()
         fired = [not k for k in fire]
         blocked = bytearray(m)
         countered = bytearray(m)
-        live = list(map(len, self.rules_for))
+        live = list(map(len, rules_for))
         open_support = live.copy()
         for h in compress(head, map(not_, supports)):
             open_support[h] -= 1
@@ -516,47 +518,45 @@ def prove(
     """Produce a derivation ending in `goal`, or None if it is not provable.
 
     The returned derivation replays: every line's condition holds with
-    respect to the strictly earlier lines only.  It reads the solve kept on
-    the theory, and is the same in every process.
+    respect to the strictly earlier lines only.  It reads the order of the
+    solve kept on the theory, and picks each line's rules and premises with
+    `_witness` on the theory's own rules, which raises AssertionError if no
+    condition holds for a logged line.  It is the same in every process.
     """
     _check_preconditions(theory, mode)
     solver = _solved(theory)
     if goal.literal.atom not in theory.atoms:
         raise PreconditionError(f"unknown atom: {goal.literal.atom._text}")
-    target = solver.ids[goal.literal] << 2 | _TAGS.index(goal.tag)
-    seq = solver.seq
+    ids, seq = solver.ids, solver.seq
+    target = ids[goal.literal] << 2 | _TAGS.index(goal.tag)
     if target not in seq:
         return None
 
-    # Each line is explained, on the solver's tables, by the lines logged
-    # before it; bodies in literal order pick the same premises in every process.
+    # Each line is explained, on the theory's own rules, by the lines logged
+    # before it; bodies in literal-number order pick the same premises in
+    # every process.
     before = 0
 
-    def logged(tag: Tag, q: int) -> int | None:
-        x = q << 2 | _TAGS.index(tag)
+    def logged(tag: Tag, q: Literal) -> int | None:
+        x = ids[q] << 2 | _TAGS.index(tag)
         return x if seq.get(x, before) < before else None
 
-    rules, ids = theory.rules, solver.ids
-    index = _Index(solver.fact.__getitem__, solver.rules_for.__getitem__,
-                   (1).__xor__,  # the complement of literal q is q ^ 1
-                   solver.strict.__getitem__, solver.supports.__getitem__,
-                   lambda t, s: s in solver.overrides[t],
-                   lambda r: sorted(map(ids.__getitem__, rules[r].antecedent)), logged)
-    lines: dict[int, tuple[str, list[int], list[int]]] = {}
+    index, literals = _Index.of(theory, logged, ids.__getitem__), solver.literals
+    lines: dict[int, tuple[str, list[Rule], list[int]]] = {}
     stack = [target]
     while stack:
         x = stack.pop()
         if x not in lines:
             before = seq[x]
-            witness = _witness(index, _TAGS[x & 3], x >> 2)
+            witness = _witness(index, _TAGS[x & 3], literals[x >> 2])
             if witness is None:
                 raise AssertionError(f"no condition holds for logged entry {x}")
             lines[x] = witness
             stack += witness[2]
     order = sorted(lines, key=seq.__getitem__)
-    tagged = {x: TaggedLiteral(_TAGS[x & 3], solver.literals[x >> 2]) for x in order}
+    tagged = {x: TaggedLiteral(_TAGS[x & 3], literals[x >> 2]) for x in order}
     return Derivation(tuple(
-        DerivationLine(tagged[x], clause, tuple(dict.fromkeys(rules[r].label for r in used)),
+        DerivationLine(tagged[x], clause, tuple(dict.fromkeys(r.label for r in used)),
                        tuple(map(tagged.__getitem__, dict.fromkeys(premises))))
         for x, (clause, used, premises) in zip(order, map(lines.__getitem__, order))
     ))
@@ -581,60 +581,52 @@ def replay(theory: Theory, derivation: Derivation, mode: Mode = Mode.FULL) -> bo
 
 
 class _Index(NamedTuple):
-    """What :func:`_witness` reads: a ground theory, whose literals and rules
-    are its own objects for :func:`replay` and the solver's ids for
-    :func:`prove`, and the lines so far.  `line(tag, q)` is the earlier line
-    `tag q`, in the caller's form, or None; `body(rule)` lists an antecedent
-    in the order premises are picked in.  `superior(t, s)` is asked only for
-    a supporting `t` and an `s` with the complement of `t`'s head."""
+    """What :func:`_witness` reads: a ground theory's facts, its rules by head
+    in theory order and its superiority pairs, the key `order` an antecedent
+    is sorted by when premises are picked, and the lines so far:
+    `line(tag, q)` is the earlier line `tag q`, in the caller's form, or
+    None."""
 
-    fact: Callable[[Any], object]
-    rules: Callable[[Any], Sequence]  # with that head, in theory order
-    complement: Callable[[Any], Any]
-    strict: Callable[[Any], object]
-    supports: Callable[[Any], object]  # not a defeater
-    superior: Callable[[Any, Any], object]
-    body: Callable[[Any], Iterable]
-    line: Callable[[Tag, Any], Hashable | None]
+    facts: frozenset[Literal]
+    rules: dict[Literal, list[Rule]]
+    superiority: frozenset[tuple[str, str]]
+    order: Callable[[Literal], Any]
+    line: Callable[[Tag, Literal], Hashable | None]
 
     @classmethod
-    def of(cls, theory: Theory, line: Callable[[Tag, Literal], Hashable | None]) -> _Index:
-        """The index of `theory`'s own objects, with lines kept by `line`."""
+    def of(cls, theory: Theory, line: Callable[[Tag, Literal], Hashable | None],
+           order: Callable[[Literal], Any] = _LITERAL_ORDER) -> _Index:
+        """The index of `theory`, with lines kept by `line`.  Antecedents are
+        sorted because `_blocked` stops at the first with a line, and set
+        order follows memory addresses."""
         by_head: dict[Literal, list[Rule]] = {}
         for rule in theory.rules:
             by_head.setdefault(rule.head, []).append(rule)
-        # Antecedents in a fixed order: `_blocked` stops at the first with a
-        # line, and set order follows memory addresses.
-        strict, defeater = RuleKind.STRICT, RuleKind.DEFEATER
-        return cls(frozenset(theory.facts).__contains__, lambda q: by_head.get(q, ()),
-                   Literal.complement, lambda r: r.kind is strict,
-                   lambda r: r.kind is not defeater,
-                   lambda t, s: (t.label, s.label) in theory.superiority,
-                   lambda r: sorted(r.antecedent, key=_LITERAL_ORDER), line)
+        return cls(frozenset(theory.facts), by_head, theory.superiority, order, line)
 
 
-def _witness(index: _Index, tag: Tag, q: Any) -> tuple[str, list, list] | None:
+def _witness(index: _Index, tag: Tag, q: Literal) -> tuple[str, list[Rule], list] | None:
     """The inference condition of `tag q`, transcribed from the paper: the
     branch that holds, the rules it consulted and the earlier lines it rests
     on, or None if no branch holds.  These are the general conditions;
     reduced mode is a precondition on the theory, which the callers check.
     """
-    rules, line = index.rules(q), index.line
+    rules, line = index.rules.get(q, ()), index.line
     if tag is Tag.PLUS_DELTA or tag is Tag.MINUS_DELTA:
-        if index.fact(q):
+        if q in index.facts:
             return ("fact", [], []) if tag is Tag.PLUS_DELTA else None
-        strict = list(filter(index.strict, rules))
+        strict = [r for r in rules if r.kind is _STRICT]
         if tag is Tag.PLUS_DELTA:
             found, clause = _fired(index, strict, tag), "strict rule fires"
         else:
             found, clause = _blocked(index, strict, tag), "not a fact, every strict rule blocked"
         return None if found is None else (clause, *found)
 
-    nq = index.complement(q)
-    supporters = list(filter(index.supports, rules))
+    nq = q.complement()
+    supporters = [r for r in rules if r.kind is not _DEFEATER]
 
-    def counterattackers(s: Any) -> list:
-        return [t for t in supporters if index.superior(t, s)]
+    def counterattackers(s: Rule) -> list[Rule]:
+        return [t for t in supporters if (t.label, s.label) in index.superiority]
 
     if tag is Tag.PLUS_PARTIAL:
         definite = line(Tag.PLUS_DELTA, q)
@@ -644,7 +636,7 @@ def _witness(index: _Index, tag: Tag, q: Any) -> tuple[str, list, list] | None:
         if found is None or refuted is None:
             return None
         used, premises = found[0], [*found[1], refuted]
-        for s in index.rules(nq):
+        for s in index.rules.get(nq, ()):
             answer = (_blocked(index, [s], Tag.MINUS_PARTIAL)
                       or _fired(index, counterattackers(s), tag))
             if answer is None:
@@ -663,7 +655,7 @@ def _witness(index: _Index, tag: Tag, q: Any) -> tuple[str, list, list] | None:
     definite = line(Tag.PLUS_DELTA, nq)
     if definite is not None:
         return "complement definitely provable", [], [refuted, definite]
-    for s in index.rules(nq):
+    for s in index.rules.get(nq, ()):
         attack = _fired(index, [s], Tag.PLUS_PARTIAL)
         countered = attack and _blocked(index, counterattackers(s), tag)
         if countered:
@@ -672,20 +664,20 @@ def _witness(index: _Index, tag: Tag, q: Any) -> tuple[str, list, list] | None:
     return None
 
 
-def _fired(index: _Index, rules: Iterable, tag: Tag) -> tuple[list, list] | None:
+def _fired(index: _Index, rules: Iterable[Rule], tag: Tag) -> tuple[list[Rule], list] | None:
     """The first of `rules` with every antecedent a `tag` line, and those lines."""
     for r in rules:
-        lines = [index.line(tag, a) for a in index.body(r)]
+        lines = [index.line(tag, a) for a in sorted(r.antecedent, key=index.order)]
         if None not in lines:
             return [r], lines
     return None
 
 
-def _blocked(index: _Index, rules: list, tag: Tag) -> tuple[list, list] | None:
+def _blocked(index: _Index, rules: list[Rule], tag: Tag) -> tuple[list[Rule], list] | None:
     """`rules`, each with a `tag` line for one of its antecedents, and those lines."""
     lines = []
     for r in rules:
-        for a in index.body(r):
+        for a in sorted(r.antecedent, key=index.order):
             found = index.line(tag, a)
             if found is not None:
                 lines.append(found)

@@ -31,7 +31,10 @@ def bench_pairs(monkeypatch):
      "--pairs must be at least 10"),
     (["--workload", "props-library", "--seed", "1"],
      "the following arguments are required: --base"),
-], ids=["pairs-9", "no-base"])
+    (["--workload", "props-libary", "--seed", "1", "--base", "HEAD"],
+     "unknown workload 'props-libary'; choose from conclusions-cli, pipeline-reduced, "
+     "props-library"),
+], ids=["pairs-9", "no-base", "unknown-workload"])
 def test_bad_arguments_exit_2_before_any_process(bench_pairs, capsys, argv, complaint):
     with pytest.raises(SystemExit) as exit_:
         bench_pairs.main(argv)

@@ -228,8 +228,9 @@ class TestInvariants:
             only_p = frozenset({p})
             theory, goal = parse("r: => p."), TaggedLiteral(Tag.PLUS_PARTIAL, p)
             print(sys.flags.optimize, prove(theory, goal) is not None)
-            # The logged `+d p` loses its only supporting rule, so no condition holds.
-            _solved(theory).supports[0] = 0
+            # `-D ~p`, the logged line `+d p` rests on, moves after it in the
+            # log, so no condition holds for `+d p` (entry 2).
+            _solved(theory).seq[1 << 2 | 1] = 9
             for check in (lambda: ConclusionSet(only_p, only_p, none, none).validate(),
                           lambda: classify(ConclusionSet(none, none, only_p, only_p), p),
                           lambda: prove(theory, goal)):
@@ -431,6 +432,15 @@ class TestOneSolvePerTheory:
         expected = conclusions(theory, extra_atoms=extra)
         del vars(_solved(theory))["ids"]
         assert conclusions(theory, extra_atoms=extra) == expected
+
+    def test_a_kept_solve_holds_only_the_numbering_and_the_log(self):
+        # `run` takes the compile tables out as it starts; `prove` reads the
+        # theory's own rules, and adds only its position map `seq`.
+        theory = parse("f. r1: f -> a. r2: a => p. r3: => ~p. r2 > r3.")
+        conclusions(theory)
+        assert vars(_solved(theory)).keys() == {"literals", "ids", "derived", "log"}
+        assert prove(theory, TaggedLiteral(Tag.PLUS_PARTIAL, P)) is not None
+        assert vars(_solved(theory)).keys() == {"literals", "ids", "derived", "log", "seq"}
 
     def test_an_interrupted_solve_is_not_kept(self, monkeypatch, solvers):
         source = "f. r1: f -> a. r2: a => p. r3: => ~p. r2 > r3."

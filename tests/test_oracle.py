@@ -20,16 +20,13 @@ from deflog import (
     Mode,
     PreconditionError,
     RuleKind,
-    Tag,
     TaggedLiteral,
     Theory,
     conclusions,
     prove,
     replay,
 )
-from deflog.engine import _Index, _solved, _witness
-
-TAG_ORDER = (Tag.PLUS_DELTA, Tag.MINUS_DELTA, Tag.PLUS_PARTIAL, Tag.MINUS_PARTIAL)
+from deflog.engine import _TAGS, _Index, _Solver, _witness
 
 
 def candidates(theory: Theory, extra_atoms=()) -> list[TaggedLiteral]:
@@ -37,13 +34,13 @@ def candidates(theory: Theory, extra_atoms=()) -> list[TaggedLiteral]:
     atoms.update(Atom(a) if isinstance(a, str) else a for a in extra_atoms)
     return [TaggedLiteral(tag, Literal(atom, positive))
             for atom in sorted(atoms, key=str) for positive in (True, False)
-            for tag in TAG_ORDER]
+            for tag in _TAGS]
 
 
 def naive_conclusions(theory: Theory, extra_atoms=()) -> ConclusionSet:
     """The general conditions' fixpoint.  Reduced mode adds no conditions of
     its own, only preconditions, so it is checked against this too."""
-    have = {tag: set() for tag in TAG_ORDER}
+    have = {tag: set() for tag in _TAGS}
     index = _Index.of(theory, lambda tag, q: (tag, q) if q in have[tag] else None)
     pending = candidates(theory, extra_atoms)
     changed = True
@@ -54,7 +51,7 @@ def naive_conclusions(theory: Theory, extra_atoms=()) -> ConclusionSet:
                     and _witness(index, tagged.tag, tagged.literal) is not None):
                 have[tagged.tag].add(tagged.literal)
                 changed = True
-    return ConclusionSet(*(frozenset(have[tag]) for tag in TAG_ORDER))
+    return ConclusionSet(*(frozenset(have[tag]) for tag in _TAGS))
 
 
 def assert_engine_matches_oracle(pool) -> int:
@@ -108,10 +105,11 @@ def test_multi_superior_pool_matches_oracle(multi_superior_pool):
 
 @pytest.mark.parametrize("pool_name", ["general_pool", "multi_superior_pool"])
 def test_overrides_are_the_declared_pairs_that_can_counterattack(request, pool_name):
-    # `prove` reads `overrides` for the superiority relation, so it is
-    # checked here against every ordered pair of rules: `t` counterattacks
-    # `s` iff `t > s` is declared, `t` is not a defeater and their heads are
-    # complements; each entry lists its `s` in rule order.
+    # `run` reads `overrides` for the superiority relation, so it is
+    # checked here, on a compiled solver that has not run, against every
+    # ordered pair of rules: `t` counterattacks `s` iff `t > s` is declared,
+    # `t` is not a defeater and their heads are complements; each entry
+    # lists its `s` in rule order.
     pool = request.getfixturevalue(pool_name)
     kept = dropped = 0
     for seed, theory in enumerate(pool):
@@ -121,7 +119,7 @@ def test_overrides_are_the_declared_pairs_that_can_counterattack(request, pool_n
                           and sup.kind is not RuleKind.DEFEATER
                           and sup.head == inf.head.complement())
                     for sup in rules]
-        assert _solved(theory).overrides == expected, f"seed {seed}"
+        assert _Solver(theory).overrides == expected, f"seed {seed}"
         kept += sum(map(len, expected))
         dropped += len(theory.superiority) - sum(map(len, expected))
     # Both pools rank defeaters above rules; the general one also declares

@@ -2,8 +2,9 @@
 
     python3 tools/bench_pairs.py --workload W --seed N --base REF [--pairs 10]
 
-Exits with an error if the working tree's tracked files equal `REF`, since
-the runs would compare the same code with itself.  Otherwise exports `REF`
+Exits with an error, before starting any process, if `W` is not a workload
+of `BENCHMARK.json`; and if the working tree's tracked files equal `REF`,
+since the runs would compare the same code with itself.  Otherwise exports `REF`
 with `git archive` into one temporary directory and copies the working
 tree's files into another (those git tracks or would track, so no ignored
 file and no `__pycache__`), then runs
@@ -126,10 +127,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
-    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", args.base, "--"]).returncode == 0:
-        parser.error(f"the working tree equals {args.base!r}: nothing to compare")
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics, seconds = contract["end_to_end"], contract["run_seconds"]
+    workloads = [w["name"] for w in contract["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"unknown workload {args.workload!r}; choose from {', '.join(workloads)}")
+    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", args.base, "--"]).returncode == 0:
+        parser.error(f"the working tree equals {args.base!r}: nothing to compare")
 
     sides = {side: Path(tempfile.mkdtemp(prefix=f"bench-pairs-{side}-"))
              for side in ("base", "change")}
